@@ -1,14 +1,15 @@
 package relroute_test
 
 // The committed checkpoint fixture pins cross-version restore: the
-// snapshot in testdata was captured by a binary running the event queue
-// heap-only (eventq.ForceHeap) — the pre-calendar layout — and a current
-// binary, whose queue fronts the same slab with a calendar ring, must
-// rebuild it, pass digest and RNG-stream verification, and finish to the
-// exact summary of an uninterrupted run. That only holds because the
-// queue's pop order and DigestInto are canonical (time, seq) contracts,
-// independent of the internal layout; if either ever leaks layout, this
-// test is the tripwire.
+// snapshot in testdata was captured by an older binary whose event queue
+// ran heap-only — the pre-calendar layout — and a current binary, whose
+// queue fronts the same slab with a calendar ring, must rebuild it, pass
+// digest and RNG-stream verification, and finish to the exact summary of
+// an uninterrupted run. That only holds because the queue's pop order and
+// DigestInto are canonical (time, seq) contracts, independent of the
+// internal layout; if either ever leaks layout, this test is the tripwire.
+// The heap-era capture is the point of the fixture, so it is kept as
+// committed and not regenerated.
 
 import (
 	"os"
@@ -17,17 +18,16 @@ import (
 	"testing"
 
 	"github.com/vanetlab/relroute"
-	"github.com/vanetlab/relroute/internal/eventq"
 )
 
 const heapFixturePath = "testdata/fixture_heapq.ckpt"
 
 // Regenerate with: RELROUTE_REGEN_FIXTURES=1 go test -run HeapFixture .
-// Only needed if the snapshot schema version bumps; the point of the
-// fixture is that it is NOT regenerated when the queue internals change.
+// Only needed if the snapshot schema version bumps. A regeneration
+// captures the current queue layout, which replaces the heap-era capture
+// and with it the cross-layout coverage; the point of the fixture is that
+// it is NOT regenerated when the queue internals change.
 func regenHeapFixture(t *testing.T) {
-	eventq.ForceHeap = true
-	defer func() { eventq.ForceHeap = false }()
 	sc, err := relroute.BuildScenario("TBP-SS", relroute.Options{
 		Seed: 9, Vehicles: 30, Duration: 24, Flows: 3, FlowPackets: 8,
 	})
@@ -57,9 +57,9 @@ func TestCheckpointHeapFixtureRestores(t *testing.T) {
 		t.Fatalf("fixture snapshot is empty: %+v", snap)
 	}
 
-	// Restore replays the first half under the calendar queue and
-	// verifies the world digest and every RNG stream position against
-	// what the heap-only binary recorded.
+	// Restore replays the first half under the current queue and verifies
+	// the world digest and every RNG stream position against what the
+	// heap-only binary recorded.
 	restored, err := relroute.RestoreCheckpoint(snap)
 	if err != nil {
 		t.Fatalf("heap-generated snapshot failed to restore under the calendar queue: %v", err)

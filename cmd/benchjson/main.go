@@ -30,9 +30,10 @@ import (
 	"strings"
 )
 
-// Result is one parsed benchmark line.
+// Result is one parsed benchmark line; Pkg is from the `pkg:` line before it.
 type Result struct {
 	Name        string             `json:"name"`
+	Pkg         string             `json:"pkg,omitempty"`
 	Iterations  int64              `json:"iterations"`
 	NsPerOp     float64            `json:"ns_per_op"`
 	BytesPerOp  float64            `json:"bytes_per_op,omitempty"`
@@ -40,9 +41,11 @@ type Result struct {
 	Metrics     map[string]float64 `json:"metrics,omitempty"`
 }
 
-// Report is the emitted document. Baseline is not produced by parsing —
-// committed reports may carry the pre-optimization numbers there so a
-// single file records the before/after pair.
+// Report is the emitted document. Pkg is set only when the run covered a
+// single package; a multi-package run leaves it empty and each Result
+// carries its own. Baseline is not produced by parsing — committed
+// reports may carry the pre-optimization numbers there so a single file
+// records the before/after pair.
 type Report struct {
 	Goos       string   `json:"goos,omitempty"`
 	Goarch     string   `json:"goarch,omitempty"`
@@ -177,6 +180,7 @@ func runCompare(basePath, candPath string, threshold float64, w io.Writer) (regr
 
 func parse(sc *bufio.Scanner) (*Report, error) {
 	rep := &Report{Benchmarks: []Result{}}
+	pkg, npkg := "", 0
 	for sc.Scan() {
 		line := strings.TrimSpace(sc.Text())
 		switch {
@@ -185,18 +189,23 @@ func parse(sc *bufio.Scanner) (*Report, error) {
 		case strings.HasPrefix(line, "goarch:"):
 			rep.Goarch = strings.TrimSpace(strings.TrimPrefix(line, "goarch:"))
 		case strings.HasPrefix(line, "pkg:"):
-			rep.Pkg = strings.TrimSpace(strings.TrimPrefix(line, "pkg:"))
+			pkg = strings.TrimSpace(strings.TrimPrefix(line, "pkg:"))
+			npkg++
 		case strings.HasPrefix(line, "cpu:"):
 			rep.CPU = strings.TrimSpace(strings.TrimPrefix(line, "cpu:"))
 		case strings.HasPrefix(line, "Benchmark"):
 			r, ok := parseBench(line)
 			if ok {
+				r.Pkg = pkg
 				rep.Benchmarks = append(rep.Benchmarks, r)
 			}
 		}
 	}
 	if err := sc.Err(); err != nil {
 		return nil, err
+	}
+	if npkg == 1 {
+		rep.Pkg = pkg
 	}
 	return rep, nil
 }

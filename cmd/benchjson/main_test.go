@@ -45,6 +45,48 @@ func TestParse(t *testing.T) {
 	}
 }
 
+// multiPkg is a two-package run, as `go test -bench . ./a ./b` prints it.
+const multiPkg = `goos: linux
+goarch: amd64
+pkg: github.com/vanetlab/relroute/internal/eventq
+BenchmarkSchedulePop-2   	     100	        71.35 ns/op
+pkg: github.com/vanetlab/relroute/internal/radio
+BenchmarkLinksHit-2      	     100	         9.10 ns/op
+BenchmarkRebuildSweep-2  	     100	     91234 ns/op
+PASS
+`
+
+func TestParseMultiPackage(t *testing.T) {
+	rep, err := parse(bufio.NewScanner(strings.NewReader(multiPkg)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]string{
+		"SchedulePop":  "github.com/vanetlab/relroute/internal/eventq",
+		"LinksHit":     "github.com/vanetlab/relroute/internal/radio",
+		"RebuildSweep": "github.com/vanetlab/relroute/internal/radio",
+	}
+	if len(rep.Benchmarks) != len(want) {
+		t.Fatalf("parsed %d benchmarks, want %d", len(rep.Benchmarks), len(want))
+	}
+	for _, r := range rep.Benchmarks {
+		if r.Pkg != want[r.Name] {
+			t.Errorf("%s: pkg %q, want %q", r.Name, r.Pkg, want[r.Name])
+		}
+	}
+	if rep.Pkg != "" {
+		t.Errorf("multi-package report pkg = %q, want empty", rep.Pkg)
+	}
+
+	single, err := parse(bufio.NewScanner(strings.NewReader(sample)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if single.Pkg != "github.com/vanetlab/relroute" || single.Benchmarks[0].Pkg != single.Pkg {
+		t.Errorf("single-package run: report pkg %q, row pkg %q", single.Pkg, single.Benchmarks[0].Pkg)
+	}
+}
+
 func TestParseIgnoresGarbage(t *testing.T) {
 	rep, err := parse(bufio.NewScanner(strings.NewReader("BenchmarkBroken\nnonsense line\n")))
 	if err != nil {

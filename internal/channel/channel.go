@@ -1,7 +1,7 @@
-// Package channel models wireless propagation between vehicles: whether a
-// frame transmitted at one position is decodable at another, the received
-// signal strength (for protocols like REAR that act on RSSI), and the
-// carrier-sense range (for the MAC's collision bookkeeping).
+// Package channel models wireless propagation between vehicles: the link
+// budget at a distance and the per-frame reception draw from it, the
+// received signal strength (for protocols like REAR that act on RSSI), and
+// the carrier-sense range (for the MAC's collision bookkeeping).
 package channel
 
 import (
@@ -11,56 +11,32 @@ import (
 	"github.com/vanetlab/relroute/internal/prob"
 )
 
-// Model decides frame reception.
+// Model decides frame reception in two steps: PathLoss, the deterministic
+// link budget the radio cache stores once per link per mobility epoch, and
+// DecodableAt, the per-frame draw from it.
 type Model interface {
 	// MaxRange returns a conservative upper bound on the distance at which
 	// reception is possible; the MAC uses it to prune candidate receivers.
 	MaxRange() float64
-	// Decodable reports whether a frame sent over distance d is received,
-	// given channel randomness from rng.
-	Decodable(d float64, rng *rand.Rand) bool
 	// RSSI returns the received signal strength in dBm for a frame over
 	// distance d, including the random shadowing realisation.
 	RSSI(d float64, rng *rand.Rand) float64
 	// MeanRange returns the distance at which reception probability is
 	// 50%, used to parameterise analytic link-lifetime models (their r).
 	MeanRange() float64
-}
-
-// Precomputed is implemented by models whose per-receiver reception
-// decision splits into a deterministic per-distance term and a cheap
-// stochastic decision. The deterministic term — the link budget at a given
-// distance — is what the radio neighborhood cache precomputes once per
-// mobility epoch, so the MAC's transmit loop never re-runs the path-loss
-// math (Log10/Erfc) per frame.
-//
-// The contract is strict: DecodableAt(PathLoss(d), rng) must consume
-// exactly the same RNG draws and return exactly the same result as
-// Decodable(d, rng) for every d, so the cached and uncached transmit paths
-// are byte-identical run for run (the golden-file tests rely on this).
-type Precomputed interface {
 	// PathLoss returns the deterministic part of the link budget at
 	// distance d. The value is opaque to callers and only meaningful to
 	// DecodableAt of the same model: UnitDisk returns the distance itself,
 	// Shadowing folds the log-distance path loss through the receiver
 	// threshold into a receipt probability.
 	PathLoss(d float64) float64
-	// DecodableAt decides reception from a value PathLoss returned.
-	DecodableAt(loss float64, rng *rand.Rand) bool
-}
-
-// BatchPrecomputed is implemented by Precomputed models that can fill a
-// whole slice of link budgets in one call. The radio sweep's inner loop
-// uses it so the per-pair cost is a concrete method dispatched once per
-// batch instead of an interface call per pair.
-//
-// PathLossInto must write exactly PathLoss(dists[i]) into dst[i] for every
-// i — same expression, bit for bit — so batch-built neighborhoods are
-// indistinguishable from per-pair ones. dst and dists must have the same
-// length and may not overlap.
-type BatchPrecomputed interface {
-	Precomputed
+	// PathLossInto writes PathLoss(dists[i]) into dst[i], bit for bit, for
+	// every i in one call; dst and dists have equal length and do not
+	// overlap.
 	PathLossInto(dst, dists []float64)
+	// DecodableAt decides reception from a value PathLoss returned; its
+	// RNG draws are part of the pinned draw order.
+	DecodableAt(loss float64, rng *rand.Rand) bool
 }
 
 // UnitDisk is the idealised model: every frame within Range is received,
@@ -78,22 +54,15 @@ func (u UnitDisk) MaxRange() float64 { return u.Range }
 // MeanRange implements Model.
 func (u UnitDisk) MeanRange() float64 { return u.Range }
 
-// Decodable implements Model.
-func (u UnitDisk) Decodable(d float64, _ *rand.Rand) bool { return d <= u.Range }
-
-var _ Precomputed = UnitDisk{}
-
-// PathLoss implements Precomputed: the unit disk's only link-budget input
-// is the distance itself.
+// PathLoss implements Model: the unit disk's only link-budget input is
+// the distance itself.
 func (u UnitDisk) PathLoss(d float64) float64 { return d }
 
-// DecodableAt implements Precomputed.
+// DecodableAt implements Model; it never draws.
 func (u UnitDisk) DecodableAt(loss float64, _ *rand.Rand) bool { return loss <= u.Range }
 
-var _ BatchPrecomputed = UnitDisk{}
-
-// PathLossInto implements BatchPrecomputed: the unit disk's link budget is
-// the distance itself, so the batch is a copy.
+// PathLossInto implements Model: the unit disk's link budget is the
+// distance itself, so the batch is a copy.
 func (u UnitDisk) PathLossInto(dst, dists []float64) { copy(dst, dists) }
 
 // RSSI implements Model with a deterministic log-distance curve so RSSI
@@ -157,25 +126,16 @@ func (s *Shadowing) MaxRange() float64 { return s.maxRange }
 // MeanRange implements Model.
 func (s *Shadowing) MeanRange() float64 { return s.Receipt.MedianRange() }
 
-// Decodable implements Model: Bernoulli draw with the distance-dependent
-// receipt probability. Defined as the composition of the Precomputed pair
-// so the split API can never drift from it.
-func (s *Shadowing) Decodable(d float64, rng *rand.Rand) bool {
-	return s.DecodableAt(s.PathLoss(d), rng)
-}
-
-var _ Precomputed = (*Shadowing)(nil)
-
-// PathLoss implements Precomputed. The whole deterministic chain — mean
-// path loss at d, received power, threshold margin — folds into a single
+// PathLoss implements Model. The whole deterministic chain — mean path
+// loss at d, received power, threshold margin — folds into a single
 // number, the receipt probability, so it is returned directly: caching it
 // leaves only a uniform draw per frame. (Comparing a Gaussian shadowing
 // sample against the threshold would be distribution-equivalent but would
-// consume different RNG draws than Decodable; see the interface contract.)
+// consume different RNG draws, breaking the pinned draw order.)
 func (s *Shadowing) PathLoss(d float64) float64 { return s.Receipt.Prob(d) }
 
-// DecodableAt implements Precomputed: the stochastic tail of Decodable,
-// draw for draw.
+// DecodableAt implements Model: one uniform draw against the receipt
+// probability, none when the outcome is certain (p ≥ 1 or p ≤ 0).
 func (s *Shadowing) DecodableAt(loss float64, rng *rand.Rand) bool {
 	if loss >= 1 {
 		return true
@@ -186,10 +146,8 @@ func (s *Shadowing) DecodableAt(loss float64, rng *rand.Rand) bool {
 	return rng.Float64() < loss
 }
 
-var _ BatchPrecomputed = (*Shadowing)(nil)
-
-// PathLossInto implements BatchPrecomputed: the same receipt-probability
-// chain as PathLoss, evaluated as a direct concrete-method loop.
+// PathLossInto implements Model: the same receipt-probability chain as
+// PathLoss, evaluated as a direct concrete-method loop.
 func (s *Shadowing) PathLossInto(dst, dists []float64) {
 	if len(dists) == 0 {
 		return

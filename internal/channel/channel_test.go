@@ -10,10 +10,10 @@ import (
 func TestUnitDisk(t *testing.T) {
 	u := UnitDisk{Range: 250}
 	rng := rand.New(rand.NewSource(1))
-	if !u.Decodable(250, rng) {
+	if !u.DecodableAt(u.PathLoss(250), rng) {
 		t.Error("frame at exactly the range not decodable")
 	}
-	if u.Decodable(250.01, rng) {
+	if u.DecodableAt(u.PathLoss(250.01), rng) {
 		t.Error("frame beyond the range decodable")
 	}
 	if u.MaxRange() != 250 || u.MeanRange() != 250 {
@@ -51,7 +51,7 @@ func TestShadowingDecodableStatistics(t *testing.T) {
 	const n = 20000
 	ok := 0
 	for i := 0; i < n; i++ {
-		if s.Decodable(median, rng) {
+		if s.DecodableAt(s.PathLoss(median), rng) {
 			ok++
 		}
 	}
@@ -60,12 +60,12 @@ func TestShadowingDecodableStatistics(t *testing.T) {
 		t.Fatalf("decodable fraction at median range = %v, want ≈0.5", frac)
 	}
 	// very close: always decodable; very far: never
-	if !s.Decodable(1, rng) {
+	if !s.DecodableAt(s.PathLoss(1), rng) {
 		t.Error("1 m frame lost")
 	}
 	okFar := 0
 	for i := 0; i < 1000; i++ {
-		if s.Decodable(s.MaxRange()*2, rng) {
+		if s.DecodableAt(s.PathLoss(s.MaxRange()*2), rng) {
 			okFar++
 		}
 	}
@@ -102,34 +102,40 @@ func TestShadowingRSSIVariance(t *testing.T) {
 	}
 }
 
-// TestPrecomputedContract pins the split-API guarantee for both models:
-// DecodableAt(PathLoss(d), rng) must return the same verdict and consume
-// the same RNG draws as Decodable(d, rng) at every distance — that
-// equivalence is what makes the epoch-cached transmit path byte-identical
-// to a per-frame evaluation.
-func TestPrecomputedContract(t *testing.T) {
-	models := map[string]Model{
-		"unitdisk":  UnitDisk{Range: 250},
-		"shadowing": NewShadowing(prob.DefaultReceiptModel()),
-	}
-	for name, m := range models {
-		t.Run(name, func(t *testing.T) {
-			pre, ok := m.(Precomputed)
-			if !ok {
-				t.Fatalf("%s does not implement Precomputed", name)
+// TestDecodableAtDrawContract pins the per-frame reception draw for both
+// models against an independent reference on a mirrored RNG stream: the
+// unit disk decides by range and never draws, shadowing draws exactly one
+// uniform per uncertain frame (0 < p < 1) and none for certain ones. Equal
+// verdicts and equal residual streams pin the RNG draw order the golden
+// outputs depend on.
+func TestDecodableAtDrawContract(t *testing.T) {
+	shadow := NewShadowing(prob.DefaultReceiptModel())
+	models := map[string]struct {
+		m   Model
+		ref func(d float64, rng *rand.Rand) bool
+	}{
+		"unitdisk": {UnitDisk{Range: 250}, func(d float64, _ *rand.Rand) bool { return d <= 250 }},
+		"shadowing": {shadow, func(d float64, rng *rand.Rand) bool {
+			p := shadow.Receipt.Prob(d)
+			if p >= 1 || p <= 0 {
+				return p >= 1
 			}
+			return rng.Float64() < p
+		}},
+	}
+	for name, tc := range models {
+		t.Run(name, func(t *testing.T) {
 			rngA := rand.New(rand.NewSource(42))
 			rngB := rand.New(rand.NewSource(42))
 			for d := 0.0; d < 1200; d += 0.7 {
-				split := pre.DecodableAt(pre.PathLoss(d), rngA)
-				direct := m.Decodable(d, rngB)
-				if split != direct {
-					t.Fatalf("d=%v: split verdict %v, direct %v", d, split, direct)
+				got := tc.m.DecodableAt(tc.m.PathLoss(d), rngA)
+				if want := tc.ref(d, rngB); got != want {
+					t.Fatalf("d=%v: verdict %v, reference %v", d, got, want)
 				}
 			}
 			for i := 0; i < 8; i++ {
 				if a, b := rngA.Float64(), rngB.Float64(); a != b {
-					t.Fatalf("RNG streams diverged: split path consumed different draws")
+					t.Fatalf("RNG streams diverged: DecodableAt consumed different draws than the reference")
 				}
 			}
 		})
@@ -146,22 +152,18 @@ func TestBatchPathLossContract(t *testing.T) {
 	}
 	for name, m := range models {
 		t.Run(name, func(t *testing.T) {
-			batch, ok := m.(BatchPrecomputed)
-			if !ok {
-				t.Fatalf("%s does not implement BatchPrecomputed", name)
-			}
 			var dists []float64
 			for d := 0.0; d < 1200; d += 0.7 {
 				dists = append(dists, d)
 			}
 			dst := make([]float64, len(dists))
-			batch.PathLossInto(dst, dists)
+			m.PathLossInto(dst, dists)
 			for i, d := range dists {
-				if want := batch.PathLoss(d); dst[i] != want {
+				if want := m.PathLoss(d); dst[i] != want {
 					t.Fatalf("d=%v: batch loss %v, scalar %v", d, dst[i], want)
 				}
 			}
-			batch.PathLossInto(nil, nil) // empty batch is a no-op, not a panic
+			m.PathLossInto(nil, nil) // empty batch is a no-op, not a panic
 		})
 	}
 }

@@ -85,28 +85,27 @@ func TestCalendarScheduleCancelAllocFree(t *testing.T) {
 	}
 }
 
-// TestForceHeapSchedulePopAllocFree pins the heap-only layout (the
-// ForceHeap escape hatch used by layout-invariance fixtures) to the same
-// zero-alloc contract.
-func TestForceHeapSchedulePopAllocFree(t *testing.T) {
-	defer func(prev bool) { ForceHeap = prev }(ForceHeap)
-	ForceHeap = true
+// TestSmallQueueSchedulePopAllocFree pins the heap-only regime — a queue
+// held below calMinLive, as in small worlds — to the same zero-alloc
+// contract, and checks the live-count rule keeps it off the calendar.
+func TestSmallQueueSchedulePopAllocFree(t *testing.T) {
 	var q Queue
 	fn := func() {}
-	for i := 0; i < 512; i++ {
+	const pending = calMinLive / 2
+	for i := 0; i < pending; i++ {
 		q.Schedule(float64(i), fn)
 	}
-	at := 512.0
+	at := float64(pending)
 	allocs := testing.AllocsPerRun(2000, func() {
 		q.Schedule(at, fn)
 		at++
 		q.Pop()
 	})
 	if allocs != 0 {
-		t.Fatalf("ForceHeap Schedule+Pop allocates %.1f objects/op, want 0", allocs)
+		t.Fatalf("small-queue Schedule+Pop allocates %.1f objects/op, want 0", allocs)
 	}
-	if q.width != 0 {
-		t.Fatal("ForceHeap queue built a calendar")
+	if q.width != 0 || q.buckets != nil {
+		t.Fatal("a queue held below calMinLive built a calendar")
 	}
 }
 

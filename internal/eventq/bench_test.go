@@ -89,18 +89,6 @@ func BenchmarkEventqCalendar(b *testing.B) {
 	}
 }
 
-// BenchmarkEventqHeap is the identical workload pinned to the heap-only
-// layout via ForceHeap — the before/after pair for the calendar front end.
-func BenchmarkEventqHeap(b *testing.B) {
-	defer func(prev bool) { ForceHeap = prev }(ForceHeap)
-	ForceHeap = true
-	for _, producers := range []int{1000, 10000} {
-		b.Run(strconv.Itoa(producers), func(b *testing.B) {
-			benchMixedWorkload(b, producers)
-		})
-	}
-}
-
 // BenchmarkScheduleCancel measures Schedule immediately followed by
 // Cancel — the timer-armed-then-disarmed pattern ARQ and route timeouts
 // produce.

@@ -30,12 +30,6 @@ import (
 	"github.com/vanetlab/relroute/internal/digest"
 )
 
-// ForceHeap disables the calendar layer so the queue runs heap-only, the
-// pre-calendar layout. It is a test hook — checkpoint layout-invariance
-// tests capture a snapshot under one layout and restore it under the other
-// — and must be set before the queue is first used.
-var ForceHeap bool
-
 // ID identifies a scheduled event so it can be cancelled. The zero ID is
 // never issued. An ID packs the slot index (high 32 bits) and the slot's
 // generation at scheduling time (low 32 bits); generations start at 1 and
@@ -497,9 +491,6 @@ func (q *Queue) targetWidth() float64 {
 // heap-only when the queue empties out, and rebuild when the bucket width
 // has drifted an order of magnitude from target.
 func (q *Queue) maintain() {
-	if ForceHeap {
-		return
-	}
 	if q.width == 0 {
 		if q.live >= calMinLive && q.gapCnt >= calMinGaps {
 			q.rebuild()

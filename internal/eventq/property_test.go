@@ -72,12 +72,48 @@ func (r *refQueue) len() int {
 	return n
 }
 
+// digest is the canonical checkpoint digest of the reference pending set,
+// written independently of Queue.DigestInto: the sequence counter, the
+// live count, then every pending (at, seq) key in pop order.
+func (r *refQueue) digest() uint64 {
+	var pending []refEnt
+	for _, e := range r.ents {
+		if !e.cancelled {
+			pending = append(pending, e)
+		}
+	}
+	sort.Slice(pending, func(i, j int) bool {
+		if pending[i].at != pending[j].at {
+			return pending[i].at < pending[j].at
+		}
+		return pending[i].seq < pending[j].seq
+	})
+	d := digest.New()
+	d.U64(r.seq)
+	d.Int(len(pending))
+	for _, e := range pending {
+		d.F64(e.at)
+		d.U64(e.seq)
+	}
+	return d.Sum()
+}
+
+// digestChecks counts the DigestInto comparisons an interleaving made in
+// each storage regime: while the calendar was live, and after it had
+// been built and then torn down back to heap-only storage.
+type digestChecks struct {
+	onCalendar, tornDown int
+}
+
 // runInterleaving drives Queue and refQueue through the same randomized
 // op sequence and fails on the first divergence. Times are drawn from a
 // narrow range so equal-time FIFO ties are exercised constantly, and the
 // op mix keeps the queue large enough to cross the calendar build
 // threshold (and, with drift phases, to migrate heap overflow back in).
-func runInterleaving(t *testing.T, seed int64, ops int) {
+// The final drain shrinks it below the teardown threshold. Along the way
+// DigestInto must equal the reference digest of the same pending set, so
+// the checkpoint digest is pinned as layout-invariant in both regimes.
+func runInterleaving(t *testing.T, seed int64, ops int) digestChecks {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	var q Queue
@@ -87,6 +123,27 @@ func runInterleaving(t *testing.T, seed int64, ops int) {
 	fired := make(map[int]bool)
 	var order []int // ref ids in real pop order (via closure capture)
 	now := 0.0
+	var checks digestChecks
+	wasCalendar := false
+	step := 0
+	checkDigest := func(where string) {
+		step++
+		if step%16 != 0 && q.Len() >= calMinLive {
+			return
+		}
+		d := digest.New()
+		q.DigestInto(d)
+		if got, want := d.Sum(), ref.digest(); got != want {
+			t.Fatalf("%s: DigestInto %x, reference %x (calendar width %v)", where, got, want, q.width)
+		}
+		switch {
+		case q.width > 0:
+			wasCalendar = true
+			checks.onCalendar++
+		case wasCalendar:
+			checks.tornDown++
+		}
+	}
 
 	for op := 0; op < ops; op++ {
 		switch r := rng.Float64(); {
@@ -161,6 +218,7 @@ func runInterleaving(t *testing.T, seed int64, ops int) {
 		if q.Len() != ref.len() {
 			t.Fatalf("op %d: Len=%d, ref %d", op, q.Len(), ref.len())
 		}
+		checkDigest("interleaving")
 	}
 	// Drain both completely; tails must agree too.
 	for {
@@ -179,15 +237,28 @@ func runInterleaving(t *testing.T, seed int64, ops int) {
 		if n := len(order); order[n-1] != rid {
 			t.Fatalf("drain: popped wrong event, want ref id %d", rid)
 		}
+		checkDigest("drain")
 	}
 	if q.Len() != 0 {
 		t.Fatalf("drained queue reports Len=%d", q.Len())
 	}
+	return checks
 }
 
 func TestInterleavingsVsReferenceHeap(t *testing.T) {
+	var total digestChecks
 	for seed := int64(1); seed <= 20; seed++ {
-		runInterleaving(t, seed, 3000)
+		c := runInterleaving(t, seed, 3000)
+		total.onCalendar += c.onCalendar
+		total.tornDown += c.tornDown
+	}
+	// Both regimes must actually be digested, or the layout-invariance
+	// pin is vacuous (a threshold drift would silently skip one).
+	if total.onCalendar == 0 {
+		t.Fatal("no digest check ran while the calendar was live")
+	}
+	if total.tornDown == 0 {
+		t.Fatal("no digest check ran after the calendar tore down")
 	}
 }
 
@@ -200,66 +271,4 @@ func FuzzInterleavings(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed int64, ops uint16) {
 		runInterleaving(t, seed, int(ops)%4096)
 	})
-}
-
-// TestDigestLayoutInvariant pins the canonical-digest contract: the same
-// logical pending set must digest identically whether it lives in the
-// heap-only layout (ForceHeap) or the calendar layout, regardless of the
-// cancel/pop history that shaped the internal arrays.
-func TestDigestLayoutInvariant(t *testing.T) {
-	build := func(forceHeap bool) ([]float64, uint64, float64) {
-		defer func(prev bool) { ForceHeap = prev }(ForceHeap)
-		ForceHeap = forceHeap
-		rng := rand.New(rand.NewSource(99))
-		var q Queue
-		var ids []ID
-		for i := 0; i < 2000; i++ {
-			ids = append(ids, q.Schedule(rng.Float64()*100, func() {}))
-		}
-		for i := 0; i < 500; i++ {
-			q.Cancel(ids[rng.Intn(len(ids))])
-		}
-		for i := 0; i < 700; i++ {
-			q.Pop()
-		}
-		for i := 0; i < 300; i++ {
-			q.Schedule(50+rng.Float64()*100, func() {})
-		}
-		var times []float64
-		for _, e := range q.heap {
-			if !q.slots[e.slot].cancelled {
-				times = append(times, e.at)
-			}
-		}
-		for bi := range q.buckets {
-			for _, e := range q.buckets[bi] {
-				if !q.slots[e.slot].cancelled {
-					times = append(times, e.at)
-				}
-			}
-		}
-		sort.Float64s(times)
-		d := digest.New()
-		q.DigestInto(d)
-		return times, d.Sum(), q.width
-	}
-	ht, hd, hw := build(true)
-	ct, cd, cw := build(false)
-	if hw != 0.0 {
-		t.Fatalf("ForceHeap run still built a calendar")
-	}
-	if cw == 0 {
-		t.Fatalf("calendar run never built a calendar; threshold drifted?")
-	}
-	if len(ht) != len(ct) {
-		t.Fatalf("pending sets diverged: %d vs %d events", len(ht), len(ct))
-	}
-	for i := range ht {
-		if ht[i] != ct[i] {
-			t.Fatalf("pending times diverged at %d: %v vs %v", i, ht[i], ct[i])
-		}
-	}
-	if hd != cd {
-		t.Fatalf("digest differs across layouts: heap %x, calendar %x", hd, cd)
-	}
 }

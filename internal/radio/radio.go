@@ -1,7 +1,7 @@
 // Package radio caches per-mobility-epoch link state between the spatial
 // index and the channel model: for every transmitter, the candidate
-// receiver list with precomputed distances and the deterministic part of
-// the channel's link budget at those distances.
+// receiver list with the deterministic part of the channel's link budget
+// (channel.Model.PathLoss) at each receiver's distance.
 //
 // The MAC's transmit path used to be O(candidates) grid-scan + path-loss
 // math per frame; with beacon storms every node transmits every interval,
@@ -27,7 +27,7 @@
 //     into both endpoints' hoods — half the pair math of n per-node
 //     stencil walks, over contiguous arrays instead of per-cell map
 //     probes, with the link budget evaluated through the channel's batch
-//     API (channel.BatchPrecomputed) instead of an interface call per
+//     API (channel.Model.PathLossInto) instead of an interface call per
 //     pair. Pair discovery shards over cell stripes through par.Pool; a
 //     serial scatter then fills the hoods. Right when most of the
 //     population transmits every epoch — beaconing protocols at any
@@ -47,11 +47,11 @@
 // differences), so one computation serves both directions.
 //
 // Determinism contract: both paths produce identical link lists, with
-// distances computed by the same expression the uncached MAC used, and
-// channel.Precomputed guarantees DecodableAt(PathLoss(d)) consumes the
-// same RNG draws as Decodable(d). A cached transmit — lazy or swept — is
-// therefore byte-identical to an uncached one at every shard count; the
-// golden-file and sweep property tests pin this.
+// each link budget computed from the same distance expression and
+// PathLossInto bit-identical to PathLoss, and the per-frame draw is always
+// channel.Model.DecodableAt on the cached budget. A transmit is therefore
+// byte-identical whichever path built its neighborhood, at every shard
+// count; the golden-file and sweep property tests pin this.
 //
 // The cache is shared: the netstack world owns invalidation (its mobility
 // step's grid updates advance the epoch; join/leave and failure injection
@@ -79,8 +79,7 @@ import (
 // Link is one cached candidate receiver of a node's transmissions.
 type Link struct {
 	To   int32   // receiver node ID
-	Dist float64 // meters at the epoch the neighborhood was built
-	Loss float64 // channel.Precomputed.PathLoss(Dist); unset for plain Models
+	Loss float64 // channel.Model.PathLoss at the epoch's distance
 }
 
 // Cache memoizes candidate receiver lists per transmitter. It is built
@@ -91,10 +90,8 @@ type Link struct {
 type Cache struct {
 	grid   *spatial.Grid
 	model  channel.Model
-	pre    channel.Precomputed      // non-nil when model supports the split API
-	batch  channel.BatchPrecomputed // non-nil when model supports bulk path loss
-	hoods  []hood                   // dense, keyed by node ID
-	builds uint64                   // rebuild counter (instrumentation/tests)
+	hoods  []hood // dense, keyed by node ID
+	builds uint64 // rebuild counter (instrumentation/tests)
 
 	// usage accounting for the eager-sweep heuristic: how many distinct
 	// transmitters requested their neighborhood during the current and the
@@ -104,7 +101,6 @@ type Cache struct {
 	reqCount int
 	prevReq  int
 
-	mode       EagerMode
 	sweepEpoch uint64 // last epoch RebuildSweep ran; repeat sweeps are no-ops
 
 	// sweep holds the per-shard pair arenas: each shard discovers pairs in
@@ -132,36 +128,10 @@ type hood struct {
 	req   uint64
 }
 
-// EagerMode overrides the sweep-vs-lazy policy; see SetEagerMode.
-type EagerMode int
-
-const (
-	// EagerAuto (the default) weighs previous-epoch demand against the
-	// population size; see SweepWorthwhile.
-	EagerAuto EagerMode = iota
-	// EagerAlways sweeps every epoch regardless of demand.
-	EagerAlways
-	// EagerNever builds every neighborhood lazily.
-	EagerNever
-)
-
 // NewCache returns a cache over the given index and propagation model.
 func NewCache(grid *spatial.Grid, model channel.Model) *Cache {
-	c := &Cache{grid: grid, model: model}
-	if pre, ok := model.(channel.Precomputed); ok {
-		c.pre = pre
-	}
-	if batch, ok := model.(channel.BatchPrecomputed); ok {
-		c.batch = batch
-	}
-	return c
+	return &Cache{grid: grid, model: model}
 }
-
-// SetEagerMode forces the sweep-vs-lazy decision. Both paths build
-// identical neighborhoods, so the mode never changes simulation output —
-// only where the rebuild cost is paid. Tests use it to drive full runs
-// down one path; production worlds leave EagerAuto.
-func (c *Cache) SetEagerMode(m EagerMode) { c.mode = m }
 
 // Links returns the candidate receiver list for a transmission from id,
 // rebuilding it only if the grid changed since it was last built. A node
@@ -230,12 +200,7 @@ func (c *Cache) rebuildInto(id int32, h *hood) {
 				if rxPos.DistSq(pos) > r2 {
 					continue
 				}
-				d := rxPos.Dist(pos)
-				lk := Link{To: rx, Dist: d}
-				if c.pre != nil {
-					lk.Loss = c.pre.PathLoss(d)
-				}
-				h.links = append(h.links, lk)
+				h.links = append(h.links, Link{To: rx, Loss: c.model.PathLoss(rxPos.Dist(pos))})
 			}
 		}
 	}
@@ -259,12 +224,6 @@ func (c *Cache) PrevEpochUse() int { return c.prevReq }
 // earlier because pair discovery spreads over the pool while lazy
 // rebuilds ride the serial event path.
 func (c *Cache) SweepWorthwhile(actives, shards int) bool {
-	switch c.mode {
-	case EagerAlways:
-		return actives > 0
-	case EagerNever:
-		return false
-	}
 	if actives == 0 {
 		return false
 	}
@@ -346,31 +305,21 @@ func (c *Cache) RebuildSweep(pool *par.Pool) {
 				}
 			}
 		}
-		// link budget for the shard's pairs, batched when the model can
+		// link budget for the shard's pairs in one batch
 		if cap(sh.loss) < len(sh.d) {
 			sh.loss = make([]float64, len(sh.d))
 		}
 		sh.loss = sh.loss[:len(sh.d)]
-		switch {
-		case c.batch != nil:
-			c.batch.PathLossInto(sh.loss, sh.d)
-		case c.pre != nil:
-			for k, d := range sh.d {
-				sh.loss[k] = c.pre.PathLoss(d)
-			}
-		default:
-			clear(sh.loss)
-		}
+		c.model.PathLossInto(sh.loss, sh.d)
 	})
 	for s := 0; s < n; s++ {
 		sh := &c.sweep[s]
 		for k := range sh.a {
-			i, j := sh.a[k], sh.b[k]
-			d, ls := sh.d[k], sh.loss[k]
+			i, j, ls := sh.a[k], sh.b[k], sh.loss[k]
 			hi := &c.hoods[i]
-			hi.links = append(hi.links, Link{To: j, Dist: d, Loss: ls})
+			hi.links = append(hi.links, Link{To: j, Loss: ls})
 			hj := &c.hoods[j]
-			hj.links = append(hj.links, Link{To: i, Dist: d, Loss: ls})
+			hj.links = append(hj.links, Link{To: i, Loss: ls})
 		}
 	}
 	c.builds += uint64(len(snap.IDs))
@@ -393,19 +342,12 @@ func (sh *sweepShard) pairCells(snap *spatial.Snapshot, ca, cb spatial.CellSpan,
 }
 
 // Decodable draws the stochastic part of the reception decision for a
-// cached link, consuming exactly the RNG draws Model.Decodable would for
-// the same distance.
+// cached link: the model's DecodableAt on the link's cached budget.
 func (c *Cache) Decodable(lk Link, rng *rand.Rand) bool {
-	if c.pre != nil {
-		return c.pre.DecodableAt(lk.Loss, rng)
-	}
-	return c.model.Decodable(lk.Dist, rng)
+	return c.model.DecodableAt(lk.Loss, rng)
 }
 
 // Builds returns how many neighborhood rebuilds have run — the number of
 // (node, epoch) pairs actually paid for, which tests compare against the
 // transmission count to prove amortization.
 func (c *Cache) Builds() uint64 { return c.builds }
-
-// Model returns the propagation model the cache decides receptions with.
-func (c *Cache) Model() channel.Model { return c.model }

@@ -12,7 +12,7 @@ import (
 
 // TestLinksMatchesGridWithin pins the determinism contract: the cached
 // neighborhood must list exactly the receivers a fresh grid scan returns,
-// in the same order, with distances computed by the same expression.
+// in the same order, with the link budget of the same distance expression.
 func TestLinksMatchesGridWithin(t *testing.T) {
 	grid := spatial.NewGrid(250)
 	model := channel.UnitDisk{Range: 250}
@@ -38,8 +38,8 @@ func TestLinksMatchesGridWithin(t *testing.T) {
 				t.Fatalf("node %d link %d: cached receiver %d, grid scan order says %d", id, j, lk.To, rx)
 			}
 			rxPos, _ := grid.Position(rx)
-			if d := rxPos.Dist(pos); lk.Dist != d {
-				t.Fatalf("node %d→%d: cached dist %v != %v", id, rx, lk.Dist, d)
+			if loss := model.PathLoss(rxPos.Dist(pos)); lk.Loss != loss {
+				t.Fatalf("node %d→%d: cached loss %v != %v", id, rx, lk.Loss, loss)
 			}
 			j++
 		}
@@ -90,15 +90,16 @@ func TestEpochInvalidation(t *testing.T) {
 		t.Fatal("move did not trigger any rebuild")
 	}
 
-	// a same-cell move must also refresh distances
+	// a same-cell move must also refresh link budgets (the unit disk's
+	// budget is the distance itself)
 	grid.Update(0, geom.V(1150, 0))
 	l := c.Links(2)
 	if !has(l, 0) {
 		t.Fatal("same-cell move lost the link")
 	}
 	for _, lk := range l {
-		if lk.To == 0 && lk.Dist != 50 {
-			t.Fatalf("same-cell move: cached dist %v, want 50", lk.Dist)
+		if lk.To == 0 && lk.Loss != 50 {
+			t.Fatalf("same-cell move: cached loss %v, want 50", lk.Loss)
 		}
 	}
 }
@@ -145,10 +146,10 @@ func TestRemovedNodeLeavesNeighborhoods(t *testing.T) {
 	}
 }
 
-// TestDecodableMatchesModel pins the split-API contract end to end: for
+// TestDecodableMatchesModel pins the cached reception path end to end: for
 // both channel models, deciding a cached link must consume exactly the
-// same RNG draws and give exactly the same verdicts as the un-split
-// Decodable path.
+// same RNG draws and give exactly the same verdicts as the model evaluated
+// from scratch at the link's current distance.
 func TestDecodableMatchesModel(t *testing.T) {
 	models := map[string]channel.Model{
 		"unitdisk":  channel.UnitDisk{Range: 250},
@@ -165,11 +166,14 @@ func TestDecodableMatchesModel(t *testing.T) {
 			rngA := rand.New(rand.NewSource(99))
 			rngB := rand.New(rand.NewSource(99))
 			for id := int32(0); id < 40; id++ {
+				pos, _ := grid.Position(id)
 				for _, lk := range c.Links(id) {
+					rxPos, _ := grid.Position(lk.To)
+					d := rxPos.Dist(pos)
 					got := c.Decodable(lk, rngA)
-					want := model.Decodable(lk.Dist, rngB)
+					want := model.DecodableAt(model.PathLoss(d), rngB)
 					if got != want {
-						t.Fatalf("link %d→%d (d=%v): cached verdict %v, model says %v", id, lk.To, lk.Dist, got, want)
+						t.Fatalf("link %d→%d (d=%v): cached verdict %v, model says %v", id, lk.To, d, got, want)
 					}
 				}
 			}
