@@ -272,3 +272,66 @@ func FuzzInterleavings(f *testing.F) {
 		runInterleaving(t, seed, int(ops)%4096)
 	})
 }
+
+// TestDigestLayoutInvariant pins the canonical-digest contract: the same
+// logical pending set must digest identically whether it lives in the
+// calendar layout or the heap-only layout, regardless of the cancel/pop
+// history that shaped the internal arrays. The heap-only layout is reached
+// by tearing the calendar down in place, so both digests see exactly the
+// same pending set.
+func TestDigestLayoutInvariant(t *testing.T) {
+	rng := rand.New(rand.NewSource(99))
+	var q Queue
+	var ids []ID
+	for i := 0; i < 2000; i++ {
+		ids = append(ids, q.Schedule(rng.Float64()*100, func() {}))
+	}
+	for i := 0; i < 500; i++ {
+		q.Cancel(ids[rng.Intn(len(ids))])
+	}
+	for i := 0; i < 700; i++ {
+		q.Pop()
+	}
+	for i := 0; i < 300; i++ {
+		q.Schedule(50+rng.Float64()*100, func() {})
+	}
+	snapshot := func() ([]float64, uint64) {
+		var times []float64
+		for _, e := range q.heap {
+			if !q.slots[e.slot].cancelled {
+				times = append(times, e.at)
+			}
+		}
+		for bi := range q.buckets {
+			for _, e := range q.buckets[bi] {
+				if !q.slots[e.slot].cancelled {
+					times = append(times, e.at)
+				}
+			}
+		}
+		sort.Float64s(times)
+		d := digest.New()
+		q.DigestInto(d)
+		return times, d.Sum()
+	}
+	if q.width == 0 {
+		t.Fatalf("queue never built a calendar; threshold drifted?")
+	}
+	ct, cd := snapshot()
+	q.teardown()
+	if q.width != 0 || q.calCount != 0 {
+		t.Fatalf("teardown left a calendar: width %v, %d bucketed", q.width, q.calCount)
+	}
+	ht, hd := snapshot()
+	if len(ht) != len(ct) {
+		t.Fatalf("pending sets diverged: %d vs %d events", len(ht), len(ct))
+	}
+	for i := range ht {
+		if ht[i] != ct[i] {
+			t.Fatalf("pending times diverged at %d: %v vs %v", i, ht[i], ct[i])
+		}
+	}
+	if hd != cd {
+		t.Fatalf("digest differs across layouts: heap %x, calendar %x", hd, cd)
+	}
+}
