@@ -2,7 +2,7 @@ package linkstate
 
 import (
 	"math"
-	"sort"
+	"slices"
 
 	"github.com/vanetlab/relroute/internal/digest"
 	"github.com/vanetlab/relroute/internal/geom"
@@ -30,6 +30,13 @@ const feedbackAlpha = 0.25
 // (mobility epoch, beacon count) so repeated routing decisions within one
 // epoch cost no recomputation and no allocations.
 //
+// Storage: the table is three parallel slices sorted by neighbor ID. ids
+// is the compact key every lookup binary-searches; seen mirrors each
+// entry's LastSeen so the expiry scan never dereferences an entry; ents
+// holds the evidence, one heap object per link so growing the table only
+// copies pointers. Ordered reads (Snapshot, States, AppendIDs, DigestInto,
+// Expire's result) walk the slices in place, already in ID order.
+//
 // Shard safety: a Monitor is confined to its owning node. The sharded
 // world engine calls Expire and State on different nodes' monitors
 // concurrently, but never the same monitor from two shards; every
@@ -38,14 +45,16 @@ const feedbackAlpha = 0.25
 // requirement. The shared Estimator must be stateless (the registry
 // contract) for the same reason.
 type Monitor struct {
-	entries map[NodeID]*LinkState
-	ttl     float64
-	rangeM  float64 // communication range r for Eqn (4)
-	est     Estimator
+	ids    []NodeID     // live neighbor IDs, ascending
+	seen   []float64    // seen[i] == ents[i].LastSeen
+	ents   []*LinkState // evidence, parallel to ids
+	ttl    float64
+	rangeM float64 // communication range r for Eqn (4)
+	est    Estimator
 	// oldest is a lower bound on the minimum LastSeen of any entry. The
 	// per-tick expiry sweep compares it against now before iterating: a
 	// table whose oldest possible entry is still fresh cannot hold anything
-	// to expire, which skips the map scan on almost every tick. Refreshing
+	// to expire, which skips the table scan on almost every tick. Refreshing
 	// an entry may leave the bound stale-low; that only costs one full
 	// sweep, which recomputes it exactly.
 	oldest float64
@@ -64,12 +73,19 @@ func NewMonitor(ttl, rangeM float64, est Estimator) *Monitor {
 		est = MustNew("", Config{Range: rangeM})
 	}
 	return &Monitor{
-		entries: make(map[NodeID]*LinkState),
-		ttl:     ttl,
-		rangeM:  rangeM,
-		est:     est,
-		oldest:  math.Inf(1),
+		ttl:    ttl,
+		rangeM: rangeM,
+		est:    est,
+		oldest: math.Inf(1),
 	}
+}
+
+// lookup returns the stored entry for id, or nil.
+func (m *Monitor) lookup(id NodeID) *LinkState {
+	if i, ok := slices.BinarySearch(m.ids, id); ok {
+		return m.ents[i]
+	}
+	return nil
 }
 
 // Estimator returns the monitor's estimator.
@@ -79,10 +95,15 @@ func (m *Monitor) Estimator() Estimator { return m.est }
 // the stored entry (observed fields only; derived fields are not
 // recomputed here — read through State for predictions).
 func (m *Monitor) Update(id NodeID, kind NodeKind, pos, vel geom.Vec2, rssi, now float64) *LinkState {
-	e, ok := m.entries[id]
-	if !ok {
+	i, ok := slices.BinarySearch(m.ids, id)
+	var e *LinkState
+	if ok {
+		e = m.ents[i]
+	} else {
 		e = &LinkState{ID: id, MeanRSSI: rssi, FirstSeen: now, FeedbackProb: 1}
-		m.entries[id] = e
+		m.ids = slices.Insert(m.ids, i, id)
+		m.seen = slices.Insert(m.seen, i, now)
+		m.ents = slices.Insert(m.ents, i, e)
 	}
 	if now < m.oldest {
 		m.oldest = now
@@ -99,6 +120,7 @@ func (m *Monitor) Update(id NodeID, kind NodeKind, pos, vel geom.Vec2, rssi, now
 	// EWMA over beacons smooths shadowing; alpha 0.3 tracks mobility.
 	e.MeanRSSI = (1-rssiAlpha)*e.MeanRSSI + rssiAlpha*rssi
 	e.LastSeen = now
+	m.seen[i] = now
 	e.Beacons++
 	// a beacon got through: positive link feedback
 	e.FeedbackProb = (1-feedbackAlpha)*e.FeedbackProb + feedbackAlpha
@@ -109,8 +131,8 @@ func (m *Monitor) Update(id NodeID, kind NodeKind, pos, vel geom.Vec2, rssi, now
 // into the link's feedback evidence. Unknown links (no beacon heard yet)
 // are ignored — the table stays beacon-driven.
 func (m *Monitor) RecordReceived(id NodeID) {
-	e, ok := m.entries[id]
-	if !ok {
+	e := m.lookup(id)
+	if e == nil {
 		return
 	}
 	e.Received++
@@ -120,8 +142,8 @@ func (m *Monitor) RecordReceived(id NodeID) {
 // RecordSendFailed folds a MAC transmission failure (unicast ARQ budget
 // exhausted sending to id) into the link's feedback evidence.
 func (m *Monitor) RecordSendFailed(id NodeID) {
-	e, ok := m.entries[id]
-	if !ok {
+	e := m.lookup(id)
+	if e == nil {
 		return
 	}
 	e.TxFails++
@@ -130,8 +152,8 @@ func (m *Monitor) RecordSendFailed(id NodeID) {
 
 // Get returns the raw observed entry for id (derived fields zero).
 func (m *Monitor) Get(id NodeID) (LinkState, bool) {
-	e, ok := m.entries[id]
-	if !ok {
+	e := m.lookup(id)
+	if e == nil {
 		return LinkState{}, false
 	}
 	return *e, true
@@ -139,48 +161,49 @@ func (m *Monitor) Get(id NodeID) (LinkState, bool) {
 
 // Has reports whether id is currently a live link.
 func (m *Monitor) Has(id NodeID) bool {
-	_, ok := m.entries[id]
+	_, ok := slices.BinarySearch(m.ids, id)
 	return ok
 }
 
 // Len returns the number of live links.
-func (m *Monitor) Len() int { return len(m.entries) }
+func (m *Monitor) Len() int { return len(m.ids) }
 
 // Remove deletes the entry for id, if present, discarding its evidence.
-func (m *Monitor) Remove(id NodeID) { delete(m.entries, id) }
+func (m *Monitor) Remove(id NodeID) {
+	if i, ok := slices.BinarySearch(m.ids, id); ok {
+		m.ids = slices.Delete(m.ids, i, i+1)
+		m.seen = slices.Delete(m.seen, i, i+1)
+		m.ents = slices.Delete(m.ents, i, i+1)
+	}
+}
 
 // Reset discards every entry and its accumulated evidence, returning the
 // monitor to its freshly-constructed state. A node recovering from a
 // crash calls this so it re-enters the network with no stale neighbors or
 // feedback history — everything it knows must be re-learned from beacons.
 // Instrumentation counters survive; they describe the monitor's lifetime,
-// not the current table.
+// not the current table. The table keeps its capacity for re-learning.
 func (m *Monitor) Reset() {
-	clear(m.entries)
+	clear(m.ents)
+	m.ids, m.seen, m.ents = m.ids[:0], m.seen[:0], m.ents[:0]
 	m.oldest = math.Inf(1)
 }
 
-// AppendIDs appends the ID of every live link to dst and returns it,
-// in map order — callers that act on the result must filter or sort it
-// before anything observable depends on the order. It exists so periodic
-// scanners (the netstack's link audit) can check membership without
-// paying Snapshot's copy and sort.
+// AppendIDs appends the ID of every live link to dst, in ascending order,
+// and returns it. It exists so periodic scanners (the netstack's link
+// audit) can check membership without paying Snapshot's entry copies.
 func (m *Monitor) AppendIDs(dst []NodeID) []NodeID {
-	for id := range m.entries {
-		dst = append(dst, id)
-	}
-	return dst
+	return append(dst, m.ids...)
 }
 
 // Snapshot returns all live entries sorted by ID (deterministic iteration
 // for reproducible routing decisions). Derived fields are zero; use States
 // for predictions.
 func (m *Monitor) Snapshot() []LinkState {
-	out := make([]LinkState, 0, len(m.entries))
-	for _, e := range m.entries {
-		out = append(out, *e)
+	out := make([]LinkState, len(m.ents))
+	for i, e := range m.ents {
+		out[i] = *e
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
 }
 
@@ -188,8 +211,8 @@ func (m *Monitor) Snapshot() []LinkState {
 // the estimator. It allocates nothing in steady state: the kinematic
 // lifetime is memoized per (epoch, beacon count) inside the entry.
 func (m *Monitor) State(id NodeID, obs Observer) (LinkState, bool) {
-	e, ok := m.entries[id]
-	if !ok {
+	e := m.lookup(id)
+	if e == nil {
 		return LinkState{}, false
 	}
 	return m.derive(e, obs), true
@@ -199,11 +222,10 @@ func (m *Monitor) State(id NodeID, obs Observer) (LinkState, bool) {
 // derived predictions filled. The slice is freshly allocated (like the raw
 // Snapshot), so callers may keep it.
 func (m *Monitor) States(obs Observer) []LinkState {
-	out := make([]LinkState, 0, len(m.entries))
-	for _, e := range m.entries {
-		out = append(out, m.derive(e, obs))
+	out := make([]LinkState, len(m.ents))
+	for i, e := range m.ents {
+		out[i] = m.derive(e, obs)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
 }
 
@@ -245,14 +267,8 @@ func (m *Monitor) kinematic(e *LinkState, obs Observer) float64 {
 // are a pure cache keyed on shard-invariant inputs and re-derived on
 // first read after restore, so they are excluded — like the radio cache.
 func (m *Monitor) DigestInto(d *digest.Writer) {
-	d.Int(len(m.entries))
-	ids := make([]NodeID, 0, len(m.entries))
-	for id := range m.entries {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
-		e := m.entries[id]
+	d.Int(len(m.ents))
+	for _, e := range m.ents {
 		d.U32(uint32(e.ID))
 		d.Int(int(e.Kind))
 		d.F64(e.Pos.X)
@@ -276,7 +292,9 @@ func (m *Monitor) DigestInto(d *digest.Writer) {
 }
 
 // Expire removes entries not refreshed since now−ttl and returns their IDs
-// (sorted, deterministic).
+// (sorted, deterministic; nil when nothing expired). A sweep is one
+// compaction pass over ids and seen; it touches ents only to move
+// surviving pointers down.
 func (m *Monitor) Expire(now float64) []NodeID {
 	if now-m.oldest <= m.ttl {
 		return nil // even the oldest possible entry is still fresh
@@ -284,16 +302,21 @@ func (m *Monitor) Expire(now float64) []NodeID {
 	m.fullSweeps++
 	var gone []NodeID
 	min := math.Inf(1)
-	for id, e := range m.entries {
-		if now-e.LastSeen > m.ttl {
-			gone = append(gone, id)
-			delete(m.entries, id)
-		} else if e.LastSeen < min {
-			min = e.LastSeen
+	k := 0
+	for i, t := range m.seen {
+		if now-t > m.ttl {
+			gone = append(gone, m.ids[i])
+			continue
 		}
+		if t < min {
+			min = t
+		}
+		m.ids[k], m.seen[k], m.ents[k] = m.ids[i], t, m.ents[i]
+		k++
 	}
+	clear(m.ents[k:])
+	m.ids, m.seen, m.ents = m.ids[:k], m.seen[:k], m.ents[:k]
 	m.oldest = min
-	sort.Slice(gone, func(i, j int) bool { return gone[i] < gone[j] })
 	return gone
 }
 

@@ -110,9 +110,8 @@ func TestMonitorLifetimeMemo(t *testing.T) {
 		t.Fatalf("memoized lifetime changed: %v vs %v", first.Lifetime, again.Lifetime)
 	}
 	// same epoch, same beacons → the kinematic solve ran once
-	e := m.entries[1]
-	if !e.lifeOK || e.lifeEpoch != 10 {
-		t.Fatalf("memo not recorded: %+v", e)
+	if hits, misses := m.MemoStats(); misses != 1 || hits != 1 {
+		t.Fatalf("memo hits/misses = %d/%d, want 1/1", hits, misses)
 	}
 	// a new beacon invalidates the memo even within the epoch
 	m.Update(1, Vehicle, geom.V(90, 0), geom.V(-1, 0), -60, 1.5)

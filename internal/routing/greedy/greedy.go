@@ -139,7 +139,8 @@ func (r *Router) bestNextHop(dstPos geom.Vec2) (netstack.NodeID, bool) {
 	var best netstack.NodeID
 	bestDist := myDist // must strictly improve
 	found := false
-	for _, nb := range r.API.Neighbors() {
+	nbs := r.API.Neighbors() // one sorted copy serves both passes
+	for _, nb := range nbs {
 		d := nb.Pos.Dist(dstPos)
 		if d >= bestDist {
 			continue
@@ -156,7 +157,7 @@ func (r *Router) bestNextHop(dstPos geom.Vec2) (netstack.NodeID, bool) {
 	threshold := bestDist + 0.1*(myDist-bestDist)
 	bestScore := -math.MaxFloat64
 	refined := best
-	for _, nb := range r.API.Neighbors() {
+	for _, nb := range nbs {
 		d := nb.Pos.Dist(dstPos)
 		if d >= threshold || d >= myDist {
 			continue
