@@ -36,18 +36,6 @@ func WithStabilityParams(p StabilityParams) TicketOption {
 	return func(r *TicketRouter) { r.params = p }
 }
 
-// WithSelectionWindow sets how long the destination collects probes before
-// answering with the best path (default 0.3 s).
-func WithSelectionWindow(d float64) TicketOption {
-	return func(r *TicketRouter) { r.window = d }
-}
-
-// WithRebuildMargin sets how long before the predicted path expiry the
-// source re-probes (default 1 s).
-func WithRebuildMargin(d float64) TicketOption {
-	return func(r *TicketRouter) { r.rebuildMargin = d }
-}
-
 // WithScorer replaces the link-stability estimator with a custom function
 // (used by the hybrid probability+mobility router the paper's conclusion
 // proposes). The scorer must return seconds of predicted usable lifetime;
@@ -56,23 +44,27 @@ func WithScorer(f func(api *netstack.API, nb netstack.Neighbor) float64) TicketO
 	return func(r *TicketRouter) { r.scorer = f }
 }
 
+const (
+	// probeWindow is how long the destination collects probes before
+	// answering with the best path, in seconds.
+	probeWindow = 0.3
+	// rebuildMargin is how long before the predicted path expiry the
+	// source re-probes, in seconds.
+	rebuildMargin = 1
+)
+
 // TicketRouter is the Yan/TBP-SS probability-model-based router: selective
 // ticket probing on a link-stability metric, source-routed data, and
 // stability-driven preemptive maintenance.
 type TicketRouter struct {
-	netstack.Base
-	tickets       int
-	metric        Metric
-	threshold     float64
-	params        StabilityParams
-	window        float64
-	rebuildMargin float64
-	scorer        func(api *netstack.API, nb netstack.Neighbor) float64
+	routing.Discovery[*activePath]
+	tickets   int
+	metric    Metric
+	threshold float64
+	params    StabilityParams
+	scorer    func(api *netstack.API, nb netstack.Neighbor) float64
 
-	reqID   uint64
-	dup     *routing.DupCache
-	pending *routing.PendingQueue
-	trying  map[netstack.NodeID]int
+	reqID uint64
 	// source-side active paths: dst → source route + predicted stability
 	paths map[netstack.NodeID]*activePath
 	// destination-side probe collection
@@ -119,20 +111,16 @@ type srcHeader struct {
 func NewTicketRouter(opts ...TicketOption) netstack.RouterFactory {
 	return func() netstack.Router {
 		r := &TicketRouter{
-			tickets:       3,
-			metric:        MetricMeanDuration,
-			threshold:     3,
-			window:        0.3,
-			rebuildMargin: 1,
-			dup:           routing.NewDupCache(15),
-			pending:       routing.NewPendingQueue(16, 10),
-			trying:        make(map[netstack.NodeID]int),
-			paths:         make(map[netstack.NodeID]*activePath),
-			collect:       make(map[routing.DupKey]*probeSet),
+			tickets:   3,
+			metric:    MetricMeanDuration,
+			threshold: 3,
+			paths:     make(map[netstack.NodeID]*activePath),
+			collect:   make(map[routing.DupKey]*probeSet),
 		}
 		for _, o := range opts {
 			o(r)
 		}
+		r.Init(r, 1)
 		return r
 	}
 }
@@ -145,52 +133,30 @@ func (r *TicketRouter) Name() string {
 	return "TBP-SS"
 }
 
-// Originate implements netstack.Router.
-func (r *TicketRouter) Originate(dst netstack.NodeID, size int) {
-	pkt := &netstack.Packet{
-		UID: r.API.NewUID(), Kind: netstack.KindData, Data: true, Proto: r.Name(),
-		Src: r.API.Self(), Dst: dst, TTL: routing.DefaultTTL, Size: size,
-		Created: r.API.Now(),
-	}
-	if dst == r.API.Self() {
-		r.API.Deliver(pkt)
-		return
-	}
-	if ap, ok := r.paths[dst]; ok && len(ap.hops) >= 2 {
-		r.sendAlong(pkt, ap.hops)
-		return
-	}
-	if ev := r.pending.Push(dst, pkt); ev != nil {
-		r.API.Drop(ev)
-	}
-	r.startProbing(dst)
+// Route implements routing.Reactive: the probed source route to dst.
+func (r *TicketRouter) Route(dst netstack.NodeID, _ bool) (*activePath, bool) {
+	ap, ok := r.paths[dst]
+	return ap, ok && len(ap.hops) >= 2
 }
 
-func (r *TicketRouter) sendAlong(pkt *netstack.Packet, path []netstack.NodeID) {
-	pkt.Payload = srcHeader{Path: append([]netstack.NodeID(nil), path...), Next: 1}
-	pkt.Size += 4 * len(path)
-	r.API.Send(path[1], pkt)
+// SendVia implements routing.Reactive: the packet carries the path as its
+// source route.
+func (r *TicketRouter) SendVia(pkt *netstack.Packet, ap *activePath) {
+	pkt.Payload = srcHeader{Path: append([]netstack.NodeID(nil), ap.hops...), Next: 1}
+	pkt.Size += 4 * len(ap.hops)
+	r.API.Send(ap.hops[1], pkt)
 }
 
-func (r *TicketRouter) startProbing(dst netstack.NodeID) {
-	if _, inFlight := r.trying[dst]; inFlight {
-		return
-	}
-	r.trying[dst] = 2
-	r.sendProbes(dst)
-}
-
-// sendProbes performs the source's ticket split: rank neighbors by link
-// stability (filtered by the threshold and, when the destination position
-// is known, by forward progress), then distribute the L tickets over the
-// best candidates.
-func (r *TicketRouter) sendProbes(dst netstack.NodeID) {
-	r.API.Metrics().RouteDiscoveries++
+// Request implements routing.Reactive with the source's ticket split:
+// rank neighbors by link stability (filtered by the threshold and, when
+// the destination position is known, by forward progress), then
+// distribute the L tickets over the best candidates. With no admissible
+// neighbor no probe leaves and the discovery gives up.
+func (r *TicketRouter) Request(dst netstack.NodeID) bool {
 	r.reqID++
 	cands := r.candidates(dst, []netstack.NodeID{r.API.Self()})
 	if len(cands) == 0 {
-		r.probesFailed(dst)
-		return
+		return false
 	}
 	split := splitTickets(r.tickets, len(cands))
 	for i, c := range cands {
@@ -210,33 +176,7 @@ func (r *TicketRouter) sendProbes(dst netstack.NodeID) {
 		}
 		r.API.Send(c.id, pkt)
 	}
-	dstCopy := dst
-	r.API.After(1.0, func() { r.probeDeadline(dstCopy) })
-}
-
-func (r *TicketRouter) probeDeadline(dst netstack.NodeID) {
-	retries, inFlight := r.trying[dst]
-	if !inFlight {
-		return
-	}
-	if _, ok := r.paths[dst]; ok {
-		delete(r.trying, dst)
-		return
-	}
-	if retries <= 0 {
-		r.probesFailed(dst)
-		return
-	}
-	r.trying[dst] = retries - 1
-	r.sendProbes(dst)
-}
-
-func (r *TicketRouter) probesFailed(dst netstack.NodeID) {
-	delete(r.trying, dst)
-	fresh, expired := r.pending.PopAll(dst, r.API.Now())
-	for _, p := range append(fresh, expired...) {
-		r.API.Drop(p)
-	}
+	return true
 }
 
 type candidate struct {
@@ -362,7 +302,7 @@ func (r *TicketRouter) handleProbe(pkt *netstack.Packet) {
 		if !set.armed {
 			set.armed = true
 			origin := pr.Origin
-			r.API.After(r.window, func() { r.answer(key, origin) })
+			r.API.After(probeWindow, func() { r.answer(key, origin) })
 		}
 		return
 	}
@@ -434,21 +374,20 @@ func (r *TicketRouter) handleReply(pkt *netstack.Packet) {
 			hops: append([]netstack.NodeID(nil), rep.Path...), stability: stab,
 			built: r.API.Now(),
 		}
-		delete(r.trying, rep.Target)
 		r.API.Metrics().OnPathLifetime(capStability(stab))
-		r.flushPending(rep.Target)
+		r.Resolve(rep.Target)
 		// stability-driven preemptive rebuild
 		if stab != link.Forever {
-			lead := capStability(stab) - r.rebuildMargin
+			lead := capStability(stab) - rebuildMargin
 			if lead < 0.1 {
 				lead = 0.1
 			}
 			target := rep.Target
 			r.API.After(lead, func() {
-				if _, okP := r.paths[target]; okP || r.pending.Waiting(target) {
+				if _, okP := r.paths[target]; okP || r.Waiting(target) {
 					delete(r.paths, target)
 					r.API.Metrics().RouteRepairs++
-					r.startProbing(target)
+					r.Start(target)
 				}
 			})
 		}
@@ -478,7 +417,7 @@ func (r *TicketRouter) handleBreak(pkt *netstack.Packet) {
 	if _, okP := r.paths[bn.Target]; okP {
 		delete(r.paths, bn.Target)
 		r.API.Metrics().RouteBreaks++
-		r.startProbing(bn.Target)
+		r.Start(bn.Target)
 	}
 }
 
@@ -550,10 +489,7 @@ func (r *TicketRouter) OnSendFailed(pkt *netstack.Packet, to netstack.NodeID) {
 			r.API.Metrics().RouteBreaks++
 		}
 		pkt.Payload = nil
-		if ev := r.pending.Push(target, pkt); ev != nil {
-			r.API.Drop(ev)
-		}
-		r.startProbing(target)
+		r.Buffer(pkt)
 		return
 	}
 	r.API.Metrics().RouteBreaks++
@@ -568,27 +504,10 @@ func (r *TicketRouter) OnNeighborExpired(id netstack.NodeID) {
 		if len(ap.hops) >= 2 && ap.hops[1] == id {
 			delete(r.paths, dst)
 			r.API.Metrics().RouteBreaks++
-			if r.pending.Waiting(dst) {
-				r.startProbing(dst)
+			if r.Waiting(dst) {
+				r.Start(dst)
 			}
 		}
-	}
-}
-
-func (r *TicketRouter) flushPending(dst netstack.NodeID) {
-	fresh, expired := r.pending.PopAll(dst, r.API.Now())
-	for _, p := range expired {
-		r.API.Drop(p)
-	}
-	ap, ok := r.paths[dst]
-	if !ok {
-		for _, p := range fresh {
-			r.API.Drop(p)
-		}
-		return
-	}
-	for _, p := range fresh {
-		r.sendAlong(p, ap.hops)
 	}
 }
 

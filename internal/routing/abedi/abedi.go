@@ -19,12 +19,9 @@ import (
 
 // Router is a per-node Abedi instance.
 type Router struct {
-	netstack.Base
-	table   *routing.Table
-	pending *routing.PendingQueue
-	dup     *routing.DupCache
-	reqID   uint64
-	trying  map[netstack.NodeID]int
+	routing.TableRouter
+	dup   *routing.DupCache
+	reqID uint64
 	// MaxDelay scales the rank-based rebroadcast delay (default 0.12 s).
 	MaxDelay float64
 }
@@ -47,50 +44,21 @@ type rrep struct {
 // New returns an Abedi router factory.
 func New() netstack.RouterFactory {
 	return func() netstack.Router {
-		return &Router{
-			table:    routing.NewTable(),
-			pending:  routing.NewPendingQueue(16, 10),
-			dup:      routing.NewDupCache(15),
-			trying:   make(map[netstack.NodeID]int),
-			MaxDelay: 0.12,
+		r := &Router{
+			TableRouter: routing.TableRouter{Routes: routing.NewTable()},
+			dup:         routing.NewDupCache(15),
+			MaxDelay:    0.12,
 		}
+		r.Init(r, 1)
+		return r
 	}
 }
 
 // Name implements netstack.Router.
 func (r *Router) Name() string { return "Abedi" }
 
-// Originate implements netstack.Router.
-func (r *Router) Originate(dst netstack.NodeID, size int) {
-	pkt := &netstack.Packet{
-		UID: r.API.NewUID(), Kind: netstack.KindData, Data: true, Proto: r.Name(),
-		Src: r.API.Self(), Dst: dst, TTL: routing.DefaultTTL, Size: size,
-		Created: r.API.Now(),
-	}
-	if dst == r.API.Self() {
-		r.API.Deliver(pkt)
-		return
-	}
-	if rt, ok := r.table.Lookup(dst, r.API.Now()); ok {
-		r.API.Send(rt.NextHop, pkt)
-		return
-	}
-	if ev := r.pending.Push(dst, pkt); ev != nil {
-		r.API.Drop(ev)
-	}
-	r.startDiscovery(dst)
-}
-
-func (r *Router) startDiscovery(dst netstack.NodeID) {
-	if _, inFlight := r.trying[dst]; inFlight {
-		return
-	}
-	r.trying[dst] = 2
-	r.sendRREQ(dst)
-}
-
-func (r *Router) sendRREQ(dst netstack.NodeID) {
-	r.API.Metrics().RouteDiscoveries++
+// Request implements routing.Reactive: one RREQ flood.
+func (r *Router) Request(dst netstack.NodeID) bool {
 	r.reqID++
 	pkt := &netstack.Packet{
 		UID: r.API.NewUID(), Kind: netstack.KindRREQ, Proto: r.Name(),
@@ -100,29 +68,7 @@ func (r *Router) sendRREQ(dst netstack.NodeID) {
 	}
 	r.dup.Seen(routing.DupKey{Origin: pkt.Src, Seq: r.reqID}, r.API.Now())
 	r.API.Send(netstack.Broadcast, pkt)
-	dstCopy := dst
-	r.API.After(1.0, func() { r.deadline(dstCopy) })
-}
-
-func (r *Router) deadline(dst netstack.NodeID) {
-	retries, inFlight := r.trying[dst]
-	if !inFlight {
-		return
-	}
-	if _, ok := r.table.Lookup(dst, r.API.Now()); ok {
-		delete(r.trying, dst)
-		return
-	}
-	if retries <= 0 {
-		delete(r.trying, dst)
-		fresh, expired := r.pending.PopAll(dst, r.API.Now())
-		for _, p := range append(fresh, expired...) {
-			r.API.Drop(p)
-		}
-		return
-	}
-	r.trying[dst] = retries - 1
-	r.sendRREQ(dst)
+	return true
 }
 
 // relayDelay converts this node's suitability as a relay into a forwarding
@@ -158,7 +104,7 @@ func (r *Router) HandlePacket(pkt *netstack.Packet) {
 	case netstack.KindRREP:
 		r.handleRREP(pkt)
 	case netstack.KindData:
-		r.handleData(pkt)
+		r.HandleData(pkt)
 	}
 }
 
@@ -168,13 +114,17 @@ func (r *Router) handleRREQ(pkt *netstack.Packet) {
 		return
 	}
 	now := r.API.Now()
-	// Reverse route; prefer same-direction previous hops on replacement.
-	r.mergeReverse(pkt.From, req, pkt.Hops, now)
+	// Reverse route: among equal hop counts the longer-lived link, which
+	// favours same-direction previous hops, wins.
+	r.Routes.MergeReverse(routing.Route{
+		Dst: req.Origin, NextHop: pkt.From, Hops: pkt.Hops,
+		Expiry: now + 6, Valid: true, Lifetime: routing.LinkLifetime(r.API, pkt.From),
+	})
 	if r.dup.Seen(routing.DupKey{Origin: req.Origin, Seq: req.ReqID}, now) {
 		return
 	}
 	if req.Target == r.API.Self() {
-		rt, okRt := r.table.Lookup(req.Origin, now)
+		rt, okRt := r.Routes.Lookup(req.Origin, now)
 		if !okRt {
 			return
 		}
@@ -196,41 +146,22 @@ func (r *Router) handleRREQ(pkt *netstack.Packet) {
 	r.API.After(delay, func() { r.API.Send(netstack.Broadcast, fwd) })
 }
 
-// mergeReverse records/updates the reverse route to the RREQ origin.
-// Replacement requires strictly fewer hops, with link lifetime breaking
-// ties among equal-hop alternatives: hop-count monotonicity keeps the
-// reverse paths loop-free while still preferring stable same-direction
-// previous hops.
-func (r *Router) mergeReverse(from netstack.NodeID, req rreq, hops int, now float64) {
-	lifetime := routing.LinkLifetime(r.API, from)
-	nr := routing.Route{
-		Dst: req.Origin, NextHop: from, Hops: hops,
-		Expiry: now + 6, Valid: true, Lifetime: lifetime,
-	}
-	cur, ok := r.table.Get(req.Origin)
-	if !ok || !cur.Valid || nr.Hops < cur.Hops ||
-		(nr.Hops == cur.Hops && nr.Lifetime > cur.Lifetime) {
-		r.table.Upsert(nr)
-	}
-}
-
 func (r *Router) handleRREP(pkt *netstack.Packet) {
 	rep, ok := pkt.Payload.(rrep)
 	if !ok {
 		return
 	}
 	now := r.API.Now()
-	r.table.Upsert(routing.Route{
+	r.Routes.Upsert(routing.Route{
 		Dst: rep.Target, NextHop: pkt.From, Hops: rep.Hops + pkt.Hops,
 		Expiry: now + 6, Valid: true,
 		Lifetime: routing.LinkLifetime(r.API, pkt.From),
 	})
 	if rep.Origin == r.API.Self() {
-		delete(r.trying, rep.Target)
-		r.flushPending(rep.Target)
+		r.Resolve(rep.Target)
 		return
 	}
-	rt, okRt := r.table.Lookup(rep.Origin, now)
+	rt, okRt := r.Routes.Lookup(rep.Origin, now)
 	if !okRt {
 		return
 	}
@@ -240,55 +171,3 @@ func (r *Router) handleRREP(pkt *netstack.Packet) {
 	}
 	r.API.Send(rt.NextHop, pkt)
 }
-
-func (r *Router) handleData(pkt *netstack.Packet) {
-	if pkt.Dst == r.API.Self() {
-		r.API.Deliver(pkt)
-		return
-	}
-	pkt.TTL--
-	if pkt.Expired() {
-		r.API.Drop(pkt)
-		return
-	}
-	if rt, ok := r.table.Lookup(pkt.Dst, r.API.Now()); ok {
-		r.API.Send(rt.NextHop, pkt)
-		return
-	}
-	r.API.Drop(pkt)
-}
-
-// OnNeighborExpired implements netstack.Router.
-func (r *Router) OnNeighborExpired(id netstack.NodeID) {
-	broken := r.table.InvalidateVia(id)
-	r.API.Metrics().RouteBreaks += len(broken)
-}
-
-// OnSendFailed implements netstack.Router.
-func (r *Router) OnSendFailed(pkt *netstack.Packet, to netstack.NodeID) {
-	r.API.ForgetNeighbor(to)
-	r.OnNeighborExpired(to)
-	if pkt.Data {
-		r.API.Drop(pkt)
-	}
-}
-
-func (r *Router) flushPending(dst netstack.NodeID) {
-	fresh, expired := r.pending.PopAll(dst, r.API.Now())
-	for _, p := range expired {
-		r.API.Drop(p)
-	}
-	rt, ok := r.table.Lookup(dst, r.API.Now())
-	if !ok {
-		for _, p := range fresh {
-			r.API.Drop(p)
-		}
-		return
-	}
-	for _, p := range fresh {
-		r.API.Send(rt.NextHop, p)
-	}
-}
-
-// Table exposes the route table for tests.
-func (r *Router) Table() *routing.Table { return r.table }

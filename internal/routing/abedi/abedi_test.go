@@ -35,7 +35,7 @@ func TestDirectionFirstNextHop(t *testing.T) {
 	if err := w.Run(7); err != nil {
 		t.Fatal(err)
 	}
-	rt, ok := routers[3].Table().Get(ids[0])
+	rt, ok := routers[3].Routes.Get(ids[0])
 	if !ok || !rt.Valid {
 		t.Fatal("destination has no reverse route")
 	}

@@ -21,31 +21,18 @@ func WithNetDiameter(ttl int) Option {
 	return func(r *Router) { r.netDiameter = ttl }
 }
 
-// WithRouteLifetime sets the active-route timeout in seconds (default 6).
-func WithRouteLifetime(d float64) Option {
-	return func(r *Router) { r.routeLifetime = d }
-}
-
-// WithDiscoveryTimeout sets how long the source waits for an RREP before
-// retrying (default 1 s) and the retry budget (fixed at 2 retries).
-func WithDiscoveryTimeout(d float64) Option {
-	return func(r *Router) { r.discoveryTimeout = d }
-}
+// routeLifetime is the active-route timeout in seconds.
+const routeLifetime = 6
 
 // Router is a per-node AODV instance.
 type Router struct {
-	netstack.Base
-	table   *routing.Table
-	pending *routing.PendingQueue
-	dup     *routing.DupCache
+	routing.TableRouter
+	dup *routing.DupCache
 
-	seq    uint32                  // own destination sequence number
-	reqID  uint64                  // route-request counter
-	trying map[netstack.NodeID]int // dst → remaining discovery retries
+	seq   uint32 // own destination sequence number
+	reqID uint64 // route-request counter
 
-	netDiameter      int
-	routeLifetime    float64
-	discoveryTimeout float64
+	netDiameter int
 }
 
 // rreq is the route-request payload.
@@ -76,17 +63,14 @@ type rerr struct {
 func New(opts ...Option) netstack.RouterFactory {
 	return func() netstack.Router {
 		r := &Router{
-			table:            routing.NewTable(),
-			pending:          routing.NewPendingQueue(16, 10),
-			dup:              routing.NewDupCache(15),
-			trying:           make(map[netstack.NodeID]int),
-			netDiameter:      routing.DefaultTTL,
-			routeLifetime:    6,
-			discoveryTimeout: 1,
+			TableRouter: routing.TableRouter{Routes: routing.NewTable()},
+			dup:         routing.NewDupCache(15),
+			netDiameter: routing.DefaultTTL,
 		}
 		for _, o := range opts {
 			o(r)
 		}
+		r.Init(r, 1)
 		return r
 	}
 }
@@ -94,44 +78,23 @@ func New(opts ...Option) netstack.RouterFactory {
 // Name implements netstack.Router.
 func (r *Router) Name() string { return "AODV" }
 
-// Originate implements netstack.Router.
-func (r *Router) Originate(dst netstack.NodeID, size int) {
-	pkt := &netstack.Packet{
-		UID: r.API.NewUID(), Kind: netstack.KindData, Data: true, Proto: r.Name(),
-		Src: r.API.Self(), Dst: dst, TTL: routing.DefaultTTL, Size: size,
-		Created: r.API.Now(),
+// Route implements routing.Reactive: a new data packet taking the route
+// refreshes it.
+func (r *Router) Route(dst netstack.NodeID, use bool) (*routing.Route, bool) {
+	rt, ok := r.Routes.Lookup(dst, r.API.Now())
+	if exp := r.API.Now() + routeLifetime; ok && use && exp > rt.Expiry {
+		rt.Expiry = exp
 	}
-	if dst == r.API.Self() {
-		r.API.Deliver(pkt)
-		return
-	}
-	if rt, ok := r.table.Lookup(dst, r.API.Now()); ok {
-		r.refresh(rt)
-		r.API.Send(rt.NextHop, pkt)
-		return
-	}
-	if ev := r.pending.Push(dst, pkt); ev != nil {
-		r.API.Drop(ev)
-	}
-	r.startDiscovery(dst)
+	return rt, ok
 }
 
-// startDiscovery floods an RREQ for dst unless one is already in flight.
-func (r *Router) startDiscovery(dst netstack.NodeID) {
-	if _, inFlight := r.trying[dst]; inFlight {
-		return
-	}
-	r.trying[dst] = 2 // retries remaining
-	r.sendRREQ(dst)
-}
-
-func (r *Router) sendRREQ(dst netstack.NodeID) {
-	r.API.Metrics().RouteDiscoveries++
+// Request implements routing.Reactive: one RREQ flood.
+func (r *Router) Request(dst netstack.NodeID) bool {
 	r.seq++
 	r.reqID++
 	var tseq uint32
 	hasTSeq := false
-	if rt, ok := r.table.Get(dst); ok {
+	if rt, ok := r.Routes.Get(dst); ok {
 		tseq = rt.Seq
 		hasTSeq = true
 	}
@@ -146,30 +109,7 @@ func (r *Router) sendRREQ(dst netstack.NodeID) {
 	}
 	r.dup.Seen(routing.DupKey{Origin: pkt.Src, Seq: r.reqID}, r.API.Now())
 	r.API.Send(netstack.Broadcast, pkt)
-	// arm discovery timeout
-	dstCopy := dst
-	r.API.After(r.discoveryTimeout, func() { r.discoveryDeadline(dstCopy) })
-}
-
-func (r *Router) discoveryDeadline(dst netstack.NodeID) {
-	retries, inFlight := r.trying[dst]
-	if !inFlight {
-		return // answered
-	}
-	if _, ok := r.table.Lookup(dst, r.API.Now()); ok {
-		delete(r.trying, dst)
-		return
-	}
-	if retries <= 0 {
-		delete(r.trying, dst)
-		fresh, expired := r.pending.PopAll(dst, r.API.Now())
-		for _, p := range append(fresh, expired...) {
-			r.API.Drop(p)
-		}
-		return
-	}
-	r.trying[dst] = retries - 1
-	r.sendRREQ(dst)
+	return true
 }
 
 // HandlePacket implements netstack.Router.
@@ -195,7 +135,7 @@ func (r *Router) handleRREQ(pkt *netstack.Packet) {
 	// Reverse route to the origin through the previous hop.
 	r.mergeRoute(routing.Route{
 		Dst: req.Origin, NextHop: pkt.From, Hops: pkt.Hops,
-		Seq: req.OriginSeq, Expiry: now + r.routeLifetime, Valid: true,
+		Seq: req.OriginSeq, Expiry: now + routeLifetime, Valid: true,
 	})
 	if r.dup.Seen(routing.DupKey{Origin: req.Origin, Seq: req.ReqID}, now) {
 		return
@@ -209,7 +149,7 @@ func (r *Router) handleRREQ(pkt *netstack.Packet) {
 		r.sendRREP(req.Origin, req.Target, r.seq, 0)
 		return
 	}
-	if rt, okRt := r.table.Lookup(req.Target, now); okRt && req.HasTSeq && routing.SeqNewer(rt.Seq+1, req.TargetSeq) {
+	if rt, okRt := r.Routes.Lookup(req.Target, now); okRt && req.HasTSeq && routing.SeqNewer(rt.Seq+1, req.TargetSeq) {
 		r.sendRREP(req.Origin, req.Target, rt.Seq, rt.Hops)
 		return
 	}
@@ -222,7 +162,7 @@ func (r *Router) handleRREQ(pkt *netstack.Packet) {
 
 // sendRREP unicasts a reply toward origin along the reverse route.
 func (r *Router) sendRREP(origin, target netstack.NodeID, targetSeq uint32, hopsToDst int) {
-	rt, ok := r.table.Lookup(origin, r.API.Now())
+	rt, ok := r.Routes.Lookup(origin, r.API.Now())
 	if !ok {
 		return
 	}
@@ -244,15 +184,14 @@ func (r *Router) handleRREP(pkt *netstack.Packet) {
 	// Forward route to the target through the previous hop.
 	r.mergeRoute(routing.Route{
 		Dst: rep.Target, NextHop: pkt.From, Hops: rep.HopsToDst + pkt.Hops,
-		Seq: rep.TargetSeq, Expiry: now + r.routeLifetime, Valid: true,
+		Seq: rep.TargetSeq, Expiry: now + routeLifetime, Valid: true,
 	})
 	if rep.Origin == r.API.Self() {
-		delete(r.trying, rep.Target)
-		r.flushPending(rep.Target)
+		r.Resolve(rep.Target)
 		return
 	}
 	// Relay toward the origin along the reverse route.
-	rt, okRt := r.table.Lookup(rep.Origin, now)
+	rt, okRt := r.Routes.Lookup(rep.Origin, now)
 	if !okRt {
 		return
 	}
@@ -274,7 +213,7 @@ func (r *Router) handleRERR(pkt *netstack.Packet) {
 	}
 	var cascade []netstack.NodeID
 	for _, dst := range er.Unreachable {
-		if rt, okRt := r.table.Get(dst); okRt && rt.Valid && rt.NextHop == pkt.From {
+		if rt, okRt := r.Routes.Get(dst); okRt && rt.Valid && rt.NextHop == pkt.From {
 			rt.Valid = false
 			cascade = append(cascade, dst)
 		}
@@ -295,9 +234,8 @@ func (r *Router) handleData(pkt *netstack.Packet) {
 		r.API.Drop(pkt)
 		return
 	}
-	if rt, ok := r.table.Lookup(pkt.Dst, r.API.Now()); ok {
-		r.refresh(rt)
-		r.API.Send(rt.NextHop, pkt)
+	if rt, ok := r.Route(pkt.Dst, true); ok {
+		r.SendVia(pkt, rt)
 		return
 	}
 	// No route at an intermediate node: RFC behaviour is to RERR.
@@ -316,9 +254,11 @@ func (r *Router) broadcastRERR(unreachable []netstack.NodeID) {
 }
 
 // OnNeighborExpired implements netstack.Router: losing a neighbor breaks
-// every route through it.
+// every route through it, and the break is reported by RERR. A failed
+// unicast lands here too, through TableRouter.OnSendFailed (RFC 3561
+// §6.11).
 func (r *Router) OnNeighborExpired(id netstack.NodeID) {
-	broken := r.table.InvalidateVia(id)
+	broken := r.Routes.InvalidateVia(id)
 	if len(broken) == 0 {
 		return
 	}
@@ -326,20 +266,10 @@ func (r *Router) OnNeighborExpired(id netstack.NodeID) {
 	r.broadcastRERR(broken)
 }
 
-// OnSendFailed implements netstack.Router: a failed unicast is a detected
-// link break — invalidate routes over it and report RERR (RFC 3561 §6.11).
-func (r *Router) OnSendFailed(pkt *netstack.Packet, to netstack.NodeID) {
-	r.API.ForgetNeighbor(to)
-	r.OnNeighborExpired(to)
-	if pkt.Data {
-		r.API.Drop(pkt)
-	}
-}
-
 // mergeRoute applies the AODV update rule: fresher sequence number wins;
 // equal sequence with fewer hops wins.
 func (r *Router) mergeRoute(nr routing.Route) {
-	cur, ok := r.table.Get(nr.Dst)
+	cur, ok := r.Routes.Get(nr.Dst)
 	if ok && cur.Valid {
 		if !routing.SeqNewer(nr.Seq, cur.Seq) && !(nr.Seq == cur.Seq && nr.Hops < cur.Hops) {
 			// keep current, but refresh expiry on confirmation via same hop
@@ -349,34 +279,5 @@ func (r *Router) mergeRoute(nr routing.Route) {
 			return
 		}
 	}
-	r.table.Upsert(nr)
+	r.Routes.Upsert(nr)
 }
-
-// refresh extends an in-use route's expiry.
-func (r *Router) refresh(rt *routing.Route) {
-	exp := r.API.Now() + r.routeLifetime
-	if exp > rt.Expiry {
-		rt.Expiry = exp
-	}
-}
-
-// flushPending releases queued data after a successful discovery.
-func (r *Router) flushPending(dst netstack.NodeID) {
-	fresh, expired := r.pending.PopAll(dst, r.API.Now())
-	for _, p := range expired {
-		r.API.Drop(p)
-	}
-	rt, ok := r.table.Lookup(dst, r.API.Now())
-	if !ok {
-		for _, p := range fresh {
-			r.API.Drop(p)
-		}
-		return
-	}
-	for _, p := range fresh {
-		r.API.Send(rt.NextHop, p)
-	}
-}
-
-// Table exposes the route table for tests and the harness.
-func (r *Router) Table() *routing.Table { return r.table }

@@ -93,20 +93,16 @@ func TestIntermediateNodeTablesPopulated(t *testing.T) {
 	}
 	// middle node 1 must hold forward and reverse routes
 	mid := routers[1]
-	if _, ok := mid.Table().Lookup(ids[0], w.Engine().Now()); !ok {
+	if _, ok := mid.Routes.Lookup(ids[0], w.Engine().Now()); !ok {
 		t.Fatal("no reverse route at relay")
 	}
-	if _, ok := mid.Table().Lookup(ids[3], w.Engine().Now()); !ok {
+	if _, ok := mid.Routes.Lookup(ids[3], w.Engine().Now()); !ok {
 		t.Fatal("no forward route at relay")
 	}
 }
 
 func TestOptionsApply(t *testing.T) {
-	factory := aodv.New(
-		aodv.WithNetDiameter(2),
-		aodv.WithRouteLifetime(1),
-		aodv.WithDiscoveryTimeout(0.3),
-	)
+	factory := aodv.New(aodv.WithNetDiameter(2))
 	// TTL 2 cannot cross a 4-hop chain
 	w, ids := routetest.World(t, 1, routetest.Chain(5, 240, 0), factory)
 	delivered := routetest.RunFlow(t, w, ids[0], ids[4], 1, 1, 10, 2)

@@ -154,11 +154,7 @@ func (r *Router) handleData(pkt *netstack.Packet) {
 // Originate implements netstack.Router: proactive routing either has the
 // route or drops (no discovery latency, no buffering).
 func (r *Router) Originate(dst netstack.NodeID, size int) {
-	pkt := &netstack.Packet{
-		UID: r.API.NewUID(), Kind: netstack.KindData, Data: true, Proto: r.Name(),
-		Src: r.API.Self(), Dst: dst, TTL: routing.DefaultTTL, Size: size,
-		Created: r.API.Now(),
-	}
+	pkt := routing.NewData(r.API, r.Name(), dst, size)
 	if dst == r.API.Self() {
 		r.API.Deliver(pkt)
 		return

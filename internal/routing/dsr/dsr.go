@@ -13,12 +13,10 @@ import (
 
 // Router is a per-node DSR instance.
 type Router struct {
-	netstack.Base
-	cache   map[netstack.NodeID][]netstack.NodeID // dst → full path self→...→dst
-	pending *routing.PendingQueue
-	dup     *routing.DupCache
-	reqID   uint64
-	trying  map[netstack.NodeID]int
+	routing.Discovery[[]netstack.NodeID]
+	cache map[netstack.NodeID][]netstack.NodeID // dst → full path self→...→dst
+	dup   *routing.DupCache
+	reqID uint64
 }
 
 // rreq accumulates the traversed route.
@@ -51,56 +49,35 @@ type srcHeader struct {
 // New returns a DSR router factory.
 func New() netstack.RouterFactory {
 	return func() netstack.Router {
-		return &Router{
-			cache:   make(map[netstack.NodeID][]netstack.NodeID),
-			pending: routing.NewPendingQueue(16, 10),
-			dup:     routing.NewDupCache(15),
-			trying:  make(map[netstack.NodeID]int),
+		r := &Router{
+			cache: make(map[netstack.NodeID][]netstack.NodeID),
+			dup:   routing.NewDupCache(15),
 		}
+		r.Init(r, 1)
+		return r
 	}
 }
 
 // Name implements netstack.Router.
 func (r *Router) Name() string { return "DSR" }
 
-// Originate implements netstack.Router.
-func (r *Router) Originate(dst netstack.NodeID, size int) {
-	pkt := &netstack.Packet{
-		UID: r.API.NewUID(), Kind: netstack.KindData, Data: true, Proto: r.Name(),
-		Src: r.API.Self(), Dst: dst, TTL: routing.DefaultTTL, Size: size,
-		Created: r.API.Now(),
-	}
-	if dst == r.API.Self() {
-		r.API.Deliver(pkt)
-		return
-	}
-	if path, ok := r.cache[dst]; ok && len(path) >= 2 {
-		r.sendAlong(pkt, path)
-		return
-	}
-	if ev := r.pending.Push(dst, pkt); ev != nil {
-		r.API.Drop(ev)
-	}
-	r.startDiscovery(dst)
+// Route implements routing.Reactive: the cached source route to dst.
+func (r *Router) Route(dst netstack.NodeID, _ bool) ([]netstack.NodeID, bool) {
+	path, ok := r.cache[dst]
+	return path, ok && len(path) >= 2
 }
 
-func (r *Router) sendAlong(pkt *netstack.Packet, path []netstack.NodeID) {
+// SendVia implements routing.Reactive: the packet carries the full source
+// route in its header.
+func (r *Router) SendVia(pkt *netstack.Packet, path []netstack.NodeID) {
 	hdr := srcHeader{Path: append([]netstack.NodeID(nil), path...), Next: 1}
 	pkt.Payload = hdr
 	pkt.Size += 4 * len(path) // source route inflates the header
 	r.API.Send(path[1], pkt)
 }
 
-func (r *Router) startDiscovery(dst netstack.NodeID) {
-	if _, inFlight := r.trying[dst]; inFlight {
-		return
-	}
-	r.trying[dst] = 2
-	r.sendRREQ(dst)
-}
-
-func (r *Router) sendRREQ(dst netstack.NodeID) {
-	r.API.Metrics().RouteDiscoveries++
+// Request implements routing.Reactive: one RREQ flood.
+func (r *Router) Request(dst netstack.NodeID) bool {
 	r.reqID++
 	pkt := &netstack.Packet{
 		UID: r.API.NewUID(), Kind: netstack.KindRREQ, Proto: r.Name(),
@@ -113,29 +90,7 @@ func (r *Router) sendRREQ(dst netstack.NodeID) {
 	}
 	r.dup.Seen(routing.DupKey{Origin: pkt.Src, Seq: r.reqID}, r.API.Now())
 	r.API.Send(netstack.Broadcast, pkt)
-	dstCopy := dst
-	r.API.After(1.0, func() { r.discoveryDeadline(dstCopy) })
-}
-
-func (r *Router) discoveryDeadline(dst netstack.NodeID) {
-	retries, inFlight := r.trying[dst]
-	if !inFlight {
-		return
-	}
-	if _, ok := r.cache[dst]; ok {
-		delete(r.trying, dst)
-		return
-	}
-	if retries <= 0 {
-		delete(r.trying, dst)
-		fresh, expired := r.pending.PopAll(dst, r.API.Now())
-		for _, p := range append(fresh, expired...) {
-			r.API.Drop(p)
-		}
-		return
-	}
-	r.trying[dst] = retries - 1
-	r.sendRREQ(dst)
+	return true
 }
 
 // HandlePacket implements netstack.Router.
@@ -204,14 +159,7 @@ func (r *Router) handleRREP(pkt *netstack.Packet) {
 	// learn the downstream sub-path
 	r.cache[rep.Target] = append([]netstack.NodeID(nil), rep.Path[idx:]...)
 	if self == rep.Origin {
-		delete(r.trying, rep.Target)
-		fresh, expired := r.pending.PopAll(rep.Target, r.API.Now())
-		for _, p := range expired {
-			r.API.Drop(p)
-		}
-		for _, p := range fresh {
-			r.sendAlong(p, rep.Path)
-		}
+		r.Resolve(rep.Target)
 		return
 	}
 	if idx == 0 {

@@ -36,11 +36,7 @@ func (r *Router) NeedsBeacons() bool { return false }
 
 // Originate implements netstack.Router: data is simply broadcast.
 func (r *Router) Originate(dst netstack.NodeID, size int) {
-	pkt := &netstack.Packet{
-		UID: r.API.NewUID(), Kind: netstack.KindData, Data: true, Proto: r.Name(),
-		Src: r.API.Self(), Dst: dst, TTL: routing.DefaultTTL, Size: size,
-		Created: r.API.Now(),
-	}
+	pkt := routing.NewData(r.API, r.Name(), dst, size)
 	r.dup.Seen(routing.DupKey{Origin: pkt.Src, Seq: pkt.UID}, r.API.Now())
 	r.API.Send(netstack.Broadcast, pkt)
 }
@@ -131,11 +127,7 @@ func (b *Biswas) maxRetries() int {
 
 // Originate implements netstack.Router.
 func (b *Biswas) Originate(dst netstack.NodeID, size int) {
-	pkt := &netstack.Packet{
-		UID: b.API.NewUID(), Kind: netstack.KindData, Data: true, Proto: b.Name(),
-		Src: b.API.Self(), Dst: dst, TTL: routing.DefaultTTL, Size: size,
-		Created: b.API.Now(),
-	}
+	pkt := routing.NewData(b.API, b.Name(), dst, size)
 	b.dup.Seen(routing.DupKey{Origin: pkt.Src, Seq: pkt.UID}, b.API.Now())
 	b.broadcastWithAck(pkt)
 }

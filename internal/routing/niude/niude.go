@@ -38,31 +38,25 @@ func WithDelayBound(d float64) Option {
 	return func(r *Router) { r.delayBound = d }
 }
 
-// WithReliabilityHorizon sets the survival time links are scored against
-// in seconds (default 4): reliability = P(link lives ≥ horizon).
-func WithReliabilityHorizon(h float64) Option {
-	return func(r *Router) { r.horizon = h }
-}
-
-// WithSpeedSigma sets the σ of the relative-speed uncertainty (default 4).
-func WithSpeedSigma(s float64) Option {
-	return func(r *Router) { r.speedSigma = s }
-}
+const (
+	// horizon is the survival time, in seconds, links are scored against:
+	// reliability = P(link lives ≥ horizon).
+	horizon = 4
+	// speedSigma is the σ of the relative-speed uncertainty, in m/s.
+	speedSigma = 4
+	// window is how long the destination collects candidate RREQs before
+	// answering, in seconds.
+	window = 0.3
+)
 
 // Router is a per-node NiuDe/DeReQ instance.
 type Router struct {
-	netstack.Base
-	table   *routing.Table
-	pending *routing.PendingQueue
+	routing.TableRouter
 	dup     *routing.DupCache
 	reqID   uint64
-	trying  map[netstack.NodeID]int
 	collect map[routing.DupKey]*candidate
 
 	delayBound float64
-	horizon    float64
-	speedSigma float64
-	window     float64
 }
 
 type candidate struct {
@@ -94,19 +88,15 @@ type rrep struct {
 func New(opts ...Option) netstack.RouterFactory {
 	return func() netstack.Router {
 		r := &Router{
-			table:      routing.NewTable(),
-			pending:    routing.NewPendingQueue(16, 10),
-			dup:        routing.NewDupCache(15),
-			trying:     make(map[netstack.NodeID]int),
-			collect:    make(map[routing.DupKey]*candidate),
-			delayBound: 0.5,
-			horizon:    4,
-			speedSigma: 4,
-			window:     0.3,
+			TableRouter: routing.TableRouter{Routes: routing.NewTable()},
+			dup:         routing.NewDupCache(15),
+			collect:     make(map[routing.DupKey]*candidate),
+			delayBound:  0.5,
 		}
 		for _, o := range opts {
 			o(r)
 		}
+		r.Init(r, 1)
 		return r
 	}
 }
@@ -119,7 +109,7 @@ func (r *Router) Name() string { return "NiuDe" }
 // plane's shared survival helper.
 func (r *Router) linkAvailability(ls netstack.LinkState) float64 {
 	obs := linkstate.Observer{Pos: r.API.Pos(), Vel: r.API.Vel(), Now: r.API.Now()}
-	return linkstate.Survival(obs, ls, r.speedSigma, r.API.RangeEstimate(), 600, r.horizon)
+	return linkstate.Survival(obs, ls, speedSigma, r.API.RangeEstimate(), 600, horizon)
 }
 
 // hopDelay estimates this relay's forwarding delay: base transmission plus
@@ -131,37 +121,8 @@ func (r *Router) hopDelay() float64 {
 	return base * (1 + n/8)
 }
 
-// Originate implements netstack.Router.
-func (r *Router) Originate(dst netstack.NodeID, size int) {
-	pkt := &netstack.Packet{
-		UID: r.API.NewUID(), Kind: netstack.KindData, Data: true, Proto: r.Name(),
-		Src: r.API.Self(), Dst: dst, TTL: routing.DefaultTTL, Size: size,
-		Created: r.API.Now(),
-	}
-	if dst == r.API.Self() {
-		r.API.Deliver(pkt)
-		return
-	}
-	if rt, ok := r.table.Lookup(dst, r.API.Now()); ok {
-		r.API.Send(rt.NextHop, pkt)
-		return
-	}
-	if ev := r.pending.Push(dst, pkt); ev != nil {
-		r.API.Drop(ev)
-	}
-	r.startDiscovery(dst)
-}
-
-func (r *Router) startDiscovery(dst netstack.NodeID) {
-	if _, inFlight := r.trying[dst]; inFlight {
-		return
-	}
-	r.trying[dst] = 2
-	r.sendRREQ(dst)
-}
-
-func (r *Router) sendRREQ(dst netstack.NodeID) {
-	r.API.Metrics().RouteDiscoveries++
+// Request implements routing.Reactive: one RREQ flood.
+func (r *Router) Request(dst netstack.NodeID) bool {
 	r.reqID++
 	pkt := &netstack.Packet{
 		UID: r.API.NewUID(), Kind: netstack.KindRREQ, Proto: r.Name(),
@@ -171,29 +132,7 @@ func (r *Router) sendRREQ(dst netstack.NodeID) {
 	}
 	r.dup.Seen(routing.DupKey{Origin: pkt.Src, Seq: r.reqID}, r.API.Now())
 	r.API.Send(netstack.Broadcast, pkt)
-	dstCopy := dst
-	r.API.After(1.0, func() { r.deadline(dstCopy) })
-}
-
-func (r *Router) deadline(dst netstack.NodeID) {
-	retries, inFlight := r.trying[dst]
-	if !inFlight {
-		return
-	}
-	if _, ok := r.table.Lookup(dst, r.API.Now()); ok {
-		delete(r.trying, dst)
-		return
-	}
-	if retries <= 0 {
-		delete(r.trying, dst)
-		fresh, expired := r.pending.PopAll(dst, r.API.Now())
-		for _, p := range append(fresh, expired...) {
-			r.API.Drop(p)
-		}
-		return
-	}
-	r.trying[dst] = retries - 1
-	r.sendRREQ(dst)
+	return true
 }
 
 // HandlePacket implements netstack.Router.
@@ -204,7 +143,7 @@ func (r *Router) HandlePacket(pkt *netstack.Packet) {
 	case netstack.KindRREP:
 		r.handleRREP(pkt)
 	case netstack.KindData:
-		r.handleData(pkt)
+		r.HandleData(pkt)
 	}
 }
 
@@ -222,7 +161,7 @@ func (r *Router) handleRREQ(pkt *netstack.Packet) {
 	reliability := req.Reliability * avail
 	delay := req.Delay + r.hopDelay()
 	// reverse route: keep the most reliable, loop-free by hop monotonicity
-	r.mergeReverse(routing.Route{
+	r.Routes.MergeReverse(routing.Route{
 		Dst: req.Origin, NextHop: pkt.From, Hops: pkt.Hops,
 		Expiry: now + 6, Valid: true, Lifetime: reliability * 100,
 	})
@@ -243,7 +182,7 @@ func (r *Router) handleRREQ(pkt *netstack.Packet) {
 		if !c.armed {
 			c.armed = true
 			origin := req.Origin
-			r.API.After(r.window, func() { r.answer(key, origin) })
+			r.API.After(window, func() { r.answer(key, origin) })
 		}
 		return
 	}
@@ -274,7 +213,7 @@ func (r *Router) answer(key routing.DupKey, origin netstack.NodeID) {
 	if c.bestReliability < 0 {
 		return // nothing met the delay bound
 	}
-	r.table.Upsert(routing.Route{
+	r.Routes.Upsert(routing.Route{
 		Dst: origin, NextHop: c.bestFrom, Hops: c.hops,
 		Expiry: r.API.Now() + 6, Valid: true, Lifetime: c.bestReliability * 100,
 	})
@@ -293,27 +232,19 @@ func (r *Router) handleRREP(pkt *netstack.Packet) {
 		return
 	}
 	now := r.API.Now()
-	r.table.Upsert(routing.Route{
+	r.Routes.Upsert(routing.Route{
 		Dst: rep.Target, NextHop: pkt.From, Hops: rep.Hops + pkt.Hops,
 		Expiry: now + 6, Valid: true, Lifetime: rep.Reliability * 100,
 	})
 	if rep.Origin == r.API.Self() {
-		delete(r.trying, rep.Target)
-		r.API.Metrics().OnPathLifetime(r.horizon * math.Max(rep.Reliability, 0.01))
-		r.flushPending(rep.Target)
+		r.API.Metrics().OnPathLifetime(horizon * math.Max(rep.Reliability, 0.01))
+		r.Resolve(rep.Target)
 		// proactive maintenance: rebuild before the reliability horizon
 		// elapses ("the route will be rebuilt before the link breaks")
-		target := rep.Target
-		lead := math.Max(r.horizon-1, 0.5)
-		r.API.After(lead, func() {
-			if _, okRt := r.table.Lookup(target, r.API.Now()); okRt || r.pending.Waiting(target) {
-				r.API.Metrics().RouteRepairs++
-				r.startDiscovery(target)
-			}
-		})
+		r.RebuildAfter(math.Max(horizon-1, 0.5), rep.Target)
 		return
 	}
-	rt, okRt := r.table.Lookup(rep.Origin, now)
+	rt, okRt := r.Routes.Lookup(rep.Origin, now)
 	if !okRt {
 		return
 	}
@@ -323,65 +254,3 @@ func (r *Router) handleRREP(pkt *netstack.Packet) {
 	}
 	r.API.Send(rt.NextHop, pkt)
 }
-
-func (r *Router) handleData(pkt *netstack.Packet) {
-	if pkt.Dst == r.API.Self() {
-		r.API.Deliver(pkt)
-		return
-	}
-	pkt.TTL--
-	if pkt.Expired() {
-		r.API.Drop(pkt)
-		return
-	}
-	if rt, ok := r.table.Lookup(pkt.Dst, r.API.Now()); ok {
-		r.API.Send(rt.NextHop, pkt)
-		return
-	}
-	r.API.Drop(pkt)
-}
-
-// OnNeighborExpired implements netstack.Router.
-func (r *Router) OnNeighborExpired(id netstack.NodeID) {
-	broken := r.table.InvalidateVia(id)
-	r.API.Metrics().RouteBreaks += len(broken)
-}
-
-// OnSendFailed implements netstack.Router.
-func (r *Router) OnSendFailed(pkt *netstack.Packet, to netstack.NodeID) {
-	r.API.ForgetNeighbor(to)
-	r.OnNeighborExpired(to)
-	if pkt.Data {
-		r.API.Drop(pkt)
-	}
-}
-
-// mergeReverse keeps the more reliable reverse route among those not
-// increasing the hop count (loop freedom via hop monotonicity).
-func (r *Router) mergeReverse(nr routing.Route) {
-	cur, ok := r.table.Get(nr.Dst)
-	if ok && cur.Valid && !(nr.Hops < cur.Hops || (nr.Hops == cur.Hops && nr.Lifetime > cur.Lifetime)) {
-		return
-	}
-	r.table.Upsert(nr)
-}
-
-func (r *Router) flushPending(dst netstack.NodeID) {
-	fresh, expired := r.pending.PopAll(dst, r.API.Now())
-	for _, p := range expired {
-		r.API.Drop(p)
-	}
-	rt, ok := r.table.Lookup(dst, r.API.Now())
-	if !ok {
-		for _, p := range fresh {
-			r.API.Drop(p)
-		}
-		return
-	}
-	for _, p := range fresh {
-		r.API.Send(rt.NextHop, p)
-	}
-}
-
-// Table exposes the route table for tests.
-func (r *Router) Table() *routing.Table { return r.table }

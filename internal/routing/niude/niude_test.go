@@ -54,7 +54,7 @@ func TestPrefersReliableRelay(t *testing.T) {
 	if err := w.Run(7); err != nil {
 		t.Fatal(err)
 	}
-	rt, ok := routers[3].Table().Get(ids[0])
+	rt, ok := routers[3].Routes.Get(ids[0])
 	if !ok || !rt.Valid {
 		t.Fatal("destination has no reverse route")
 	}

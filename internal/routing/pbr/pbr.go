@@ -15,34 +15,22 @@ import (
 	"github.com/vanetlab/relroute/internal/routing"
 )
 
-// Option configures the router factory.
-type Option func(*Router)
-
-// WithSelectionWindow sets how long the destination collects candidate
-// RREQs before answering (default 0.25 s).
-func WithSelectionWindow(d float64) Option {
-	return func(r *Router) { r.window = d }
-}
-
-// WithRebuildMargin sets how many seconds before predicted route expiry
-// the source re-discovers (default 1 s).
-func WithRebuildMargin(d float64) Option {
-	return func(r *Router) { r.rebuildMargin = d }
-}
+const (
+	// window is how long the destination collects candidate RREQs before
+	// answering, in seconds.
+	window = 0.25
+	// rebuildMargin is how many seconds before predicted route expiry the
+	// source re-discovers.
+	rebuildMargin = 1
+)
 
 // Router is a per-node PBR instance.
 type Router struct {
-	netstack.Base
-	table   *routing.Table
-	pending *routing.PendingQueue
-	dup     *routing.DupCache
-	reqID   uint64
-	trying  map[netstack.NodeID]int
+	routing.TableRouter
+	dup   *routing.DupCache
+	reqID uint64
 	// destination-side candidate collection per (origin, reqID)
 	collect map[routing.DupKey]*candidate
-
-	window        float64
-	rebuildMargin float64
 }
 
 type candidate struct {
@@ -69,20 +57,14 @@ type rrep struct {
 }
 
 // New returns a PBR router factory.
-func New(opts ...Option) netstack.RouterFactory {
+func New() netstack.RouterFactory {
 	return func() netstack.Router {
 		r := &Router{
-			table:         routing.NewTable(),
-			pending:       routing.NewPendingQueue(16, 10),
-			dup:           routing.NewDupCache(15),
-			trying:        make(map[netstack.NodeID]int),
-			collect:       make(map[routing.DupKey]*candidate),
-			window:        0.25,
-			rebuildMargin: 1,
+			TableRouter: routing.TableRouter{Routes: routing.NewTable()},
+			dup:         routing.NewDupCache(15),
+			collect:     make(map[routing.DupKey]*candidate),
 		}
-		for _, o := range opts {
-			o(r)
-		}
+		r.Init(r, 1)
 		return r
 	}
 }
@@ -90,37 +72,8 @@ func New(opts ...Option) netstack.RouterFactory {
 // Name implements netstack.Router.
 func (r *Router) Name() string { return "PBR" }
 
-// Originate implements netstack.Router.
-func (r *Router) Originate(dst netstack.NodeID, size int) {
-	pkt := &netstack.Packet{
-		UID: r.API.NewUID(), Kind: netstack.KindData, Data: true, Proto: r.Name(),
-		Src: r.API.Self(), Dst: dst, TTL: routing.DefaultTTL, Size: size,
-		Created: r.API.Now(),
-	}
-	if dst == r.API.Self() {
-		r.API.Deliver(pkt)
-		return
-	}
-	if rt, ok := r.table.Lookup(dst, r.API.Now()); ok {
-		r.API.Send(rt.NextHop, pkt)
-		return
-	}
-	if ev := r.pending.Push(dst, pkt); ev != nil {
-		r.API.Drop(ev)
-	}
-	r.startDiscovery(dst)
-}
-
-func (r *Router) startDiscovery(dst netstack.NodeID) {
-	if _, inFlight := r.trying[dst]; inFlight {
-		return
-	}
-	r.trying[dst] = 2
-	r.sendRREQ(dst)
-}
-
-func (r *Router) sendRREQ(dst netstack.NodeID) {
-	r.API.Metrics().RouteDiscoveries++
+// Request implements routing.Reactive: one RREQ flood.
+func (r *Router) Request(dst netstack.NodeID) bool {
 	r.reqID++
 	pkt := &netstack.Packet{
 		UID: r.API.NewUID(), Kind: netstack.KindRREQ, Proto: r.Name(),
@@ -130,29 +83,7 @@ func (r *Router) sendRREQ(dst netstack.NodeID) {
 	}
 	r.dup.Seen(routing.DupKey{Origin: pkt.Src, Seq: r.reqID}, r.API.Now())
 	r.API.Send(netstack.Broadcast, pkt)
-	dstCopy := dst
-	r.API.After(1.0, func() { r.discoveryDeadline(dstCopy) })
-}
-
-func (r *Router) discoveryDeadline(dst netstack.NodeID) {
-	retries, inFlight := r.trying[dst]
-	if !inFlight {
-		return
-	}
-	if _, ok := r.table.Lookup(dst, r.API.Now()); ok {
-		delete(r.trying, dst)
-		return
-	}
-	if retries <= 0 {
-		delete(r.trying, dst)
-		fresh, expired := r.pending.PopAll(dst, r.API.Now())
-		for _, p := range append(fresh, expired...) {
-			r.API.Drop(p)
-		}
-		return
-	}
-	r.trying[dst] = retries - 1
-	r.sendRREQ(dst)
+	return true
 }
 
 // HandlePacket implements netstack.Router.
@@ -163,7 +94,7 @@ func (r *Router) HandlePacket(pkt *netstack.Packet) {
 	case netstack.KindRREP:
 		r.handleRREP(pkt)
 	case netstack.KindData:
-		r.handleData(pkt)
+		r.HandleData(pkt)
 	}
 }
 
@@ -181,7 +112,7 @@ func (r *Router) handleRREQ(pkt *netstack.Packet) {
 	}
 	lt := routing.MinLifetime(req.Lifetime, lifeFrom)
 	// Reverse route to origin, annotated with the predicted lifetime.
-	r.mergeReverse(routing.Route{
+	r.Routes.MergeReverse(routing.Route{
 		Dst: req.Origin, NextHop: pkt.From, Hops: pkt.Hops,
 		Expiry: r.expiryFrom(now, lt), Valid: true, Lifetime: lt,
 	})
@@ -201,7 +132,7 @@ func (r *Router) handleRREQ(pkt *netstack.Packet) {
 		if !c.armed {
 			c.armed = true
 			origin := req.Origin
-			r.API.After(r.window, func() { r.answer(key, origin) })
+			r.API.After(window, func() { r.answer(key, origin) })
 		}
 		return
 	}
@@ -229,7 +160,7 @@ func (r *Router) answer(key routing.DupKey, origin netstack.NodeID) {
 	}
 	delete(r.collect, key)
 	// route back through the best previous hop
-	r.table.Upsert(routing.Route{
+	r.Routes.Upsert(routing.Route{
 		Dst: origin, NextHop: c.bestFrom, Hops: c.hops,
 		Expiry: r.expiryFrom(r.API.Now(), c.bestLifetime), Valid: true, Lifetime: c.bestLifetime,
 	})
@@ -248,28 +179,27 @@ func (r *Router) handleRREP(pkt *netstack.Packet) {
 		return
 	}
 	now := r.API.Now()
-	r.table.Upsert(routing.Route{
+	r.Routes.Upsert(routing.Route{
 		Dst: rep.Target, NextHop: pkt.From, Hops: rep.Hops + pkt.Hops,
 		Expiry: r.expiryFrom(now, rep.Lifetime), Valid: true, Lifetime: rep.Lifetime,
 	})
 	if rep.Origin == r.API.Self() {
-		delete(r.trying, rep.Target)
 		r.API.Metrics().OnPathLifetime(capLife(rep.Lifetime))
-		r.flushPending(rep.Target)
+		r.Resolve(rep.Target)
 		// Preemptive rebuild before predicted expiry: the PBR idea.
 		if rep.Lifetime != link.Forever {
-			lead := math.Max(rep.Lifetime-r.rebuildMargin, 0.1)
+			lead := math.Max(rep.Lifetime-rebuildMargin, 0.1)
 			target := rep.Target
 			r.API.After(lead, func() {
 				if r.pendingOrActive(target) {
 					r.API.Metrics().RouteRepairs++
-					r.startDiscovery(target)
+					r.Start(target)
 				}
 			})
 		}
 		return
 	}
-	rt, okRt := r.table.Lookup(rep.Origin, now)
+	rt, okRt := r.Routes.Lookup(rep.Origin, now)
 	if !okRt {
 		return
 	}
@@ -283,54 +213,11 @@ func (r *Router) handleRREP(pkt *netstack.Packet) {
 // pendingOrActive reports whether the route to target is still in use
 // (valid route entry or queued data), gating preemptive rebuilds.
 func (r *Router) pendingOrActive(target netstack.NodeID) bool {
-	if r.pending.Waiting(target) {
+	if r.Waiting(target) {
 		return true
 	}
-	_, ok := r.table.Lookup(target, r.API.Now())
+	_, ok := r.Routes.Lookup(target, r.API.Now())
 	return ok
-}
-
-func (r *Router) handleData(pkt *netstack.Packet) {
-	if pkt.Dst == r.API.Self() {
-		r.API.Deliver(pkt)
-		return
-	}
-	pkt.TTL--
-	if pkt.Expired() {
-		r.API.Drop(pkt)
-		return
-	}
-	if rt, ok := r.table.Lookup(pkt.Dst, r.API.Now()); ok {
-		r.API.Send(rt.NextHop, pkt)
-		return
-	}
-	r.API.Drop(pkt)
-}
-
-// OnNeighborExpired implements netstack.Router.
-func (r *Router) OnNeighborExpired(id netstack.NodeID) {
-	broken := r.table.InvalidateVia(id)
-	r.API.Metrics().RouteBreaks += len(broken)
-}
-
-// OnSendFailed implements netstack.Router.
-func (r *Router) OnSendFailed(pkt *netstack.Packet, to netstack.NodeID) {
-	r.API.ForgetNeighbor(to)
-	r.OnNeighborExpired(to)
-	if pkt.Data {
-		r.API.Drop(pkt)
-	}
-}
-
-// mergeReverse keeps the longer-lived of the competing reverse routes
-// among those that do not increase the hop count: hop monotonicity keeps
-// the reverse forwarding graph loop-free.
-func (r *Router) mergeReverse(nr routing.Route) {
-	cur, ok := r.table.Get(nr.Dst)
-	if ok && cur.Valid && !(nr.Hops < cur.Hops || (nr.Hops == cur.Hops && nr.Lifetime > cur.Lifetime)) {
-		return
-	}
-	r.table.Upsert(nr)
 }
 
 // expiryFrom converts a predicted lifetime into an absolute route expiry,
@@ -346,23 +233,3 @@ func capLife(lifetime float64) float64 {
 	}
 	return lifetime
 }
-
-func (r *Router) flushPending(dst netstack.NodeID) {
-	fresh, expired := r.pending.PopAll(dst, r.API.Now())
-	for _, p := range expired {
-		r.API.Drop(p)
-	}
-	rt, ok := r.table.Lookup(dst, r.API.Now())
-	if !ok {
-		for _, p := range fresh {
-			r.API.Drop(p)
-		}
-		return
-	}
-	for _, p := range fresh {
-		r.API.Send(rt.NextHop, p)
-	}
-}
-
-// Table exposes the route table for tests.
-func (r *Router) Table() *routing.Table { return r.table }

@@ -38,7 +38,7 @@ func TestPrefersLongLivedPath(t *testing.T) {
 	}
 	// destination's reverse route to the source must run through the
 	// stable relay (node 1), not the crossing one
-	rt, ok := routers[3].Table().Get(ids[0])
+	rt, ok := routers[3].Routes.Get(ids[0])
 	if !ok || !rt.Valid {
 		t.Fatal("destination has no reverse route")
 	}
@@ -75,10 +75,4 @@ func TestPreemptiveRebuildBeforeExpiry(t *testing.T) {
 	if c.MeanPathLifetime() <= 0 {
 		t.Fatal("no path-lifetime predictions recorded")
 	}
-}
-
-func TestOptionsApply(t *testing.T) {
-	w, ids := routetest.World(t, 1, routetest.Chain(3, 150, 20),
-		pbr.New(pbr.WithSelectionWindow(0.05), pbr.WithRebuildMargin(0.5)))
-	routetest.MustDeliverAll(t, w, ids[0], ids[2], 3)
 }

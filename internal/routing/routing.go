@@ -1,8 +1,9 @@
 // Package routing holds the building blocks shared by every protocol
-// implementation: duplicate caches, distance-vector route tables, pending
-// data queues, and sequence-number arithmetic. The concrete protocols live
-// in the subpackages (one per surveyed protocol family) and in
-// internal/core for the paper's own ticket-probing protocol.
+// implementation: duplicate caches, distance-vector route tables,
+// sequence-number arithmetic, and Discovery, the on-demand core of the
+// reactive routers. The concrete protocols live in the subpackages (one
+// per surveyed protocol family) and in internal/core for the paper's own
+// ticket-probing protocol.
 package routing
 
 import (
@@ -230,6 +231,18 @@ func (t *Table) Destinations(now float64) []netstack.NodeID {
 // still inside the retention window. Use LenValid for the routable count.
 func (t *Table) Len() int { return len(t.routes) }
 
+// MergeReverse installs nr unless a valid route to nr.Dst already has
+// fewer hops, or as many hops and at least as long a lifetime. Hop
+// monotonicity keeps the reverse forwarding graph loop-free; among equal
+// hop counts the longer-lived route wins.
+func (t *Table) MergeReverse(nr Route) {
+	cur, ok := t.routes[nr.Dst]
+	if ok && cur.Valid && !(nr.Hops < cur.Hops || (nr.Hops == cur.Hops && nr.Lifetime > cur.Lifetime)) {
+		return
+	}
+	t.Upsert(nr)
+}
+
 // LenValid returns the number of valid, unexpired routes at now (without
 // mutating any entry).
 func (t *Table) LenValid(now float64) int {
@@ -238,73 +251,6 @@ func (t *Table) LenValid(now float64) int {
 		if r.Valid && (r.Expiry == 0 || now <= r.Expiry) {
 			n++
 		}
-	}
-	return n
-}
-
-// PendingQueue buffers data packets awaiting a route, per destination,
-// dropping the oldest beyond the cap and expiring packets after maxWait.
-type PendingQueue struct {
-	cap     int
-	maxWait float64
-	byDst   map[netstack.NodeID][]*netstack.Packet
-}
-
-// NewPendingQueue returns a queue holding at most capPerDst packets per
-// destination for at most maxWait seconds.
-func NewPendingQueue(capPerDst int, maxWait float64) *PendingQueue {
-	if capPerDst <= 0 {
-		capPerDst = 16
-	}
-	if maxWait <= 0 {
-		maxWait = 10
-	}
-	return &PendingQueue{cap: capPerDst, maxWait: maxWait, byDst: make(map[netstack.NodeID][]*netstack.Packet)}
-}
-
-// Push buffers pkt for dst. When the per-destination cap is reached the
-// oldest buffered packet is evicted and returned; the queue keeps no
-// reference to it.
-//
-// Contract: the caller owns the evicted packet and must terminate its
-// journey — Drop it (so the loss is counted) and, if the caller owns it
-// exclusively, optionally Release it back to the pool. Ignoring the
-// return value leaks the packet from the accounting: it was accepted from
-// the application but silently vanishes from both the delivered and
-// dropped columns.
-func (q *PendingQueue) Push(dst netstack.NodeID, pkt *netstack.Packet) (evicted *netstack.Packet) {
-	list := q.byDst[dst]
-	if len(list) >= q.cap {
-		evicted = list[0]
-		list = list[1:]
-	}
-	q.byDst[dst] = append(list, pkt)
-	return evicted
-}
-
-// PopAll removes and returns every buffered packet for dst that has not
-// exceeded maxWait by now; expired ones are returned separately.
-func (q *PendingQueue) PopAll(dst netstack.NodeID, now float64) (fresh, expired []*netstack.Packet) {
-	list := q.byDst[dst]
-	delete(q.byDst, dst)
-	for _, p := range list {
-		if now-p.Created > q.maxWait {
-			expired = append(expired, p)
-		} else {
-			fresh = append(fresh, p)
-		}
-	}
-	return fresh, expired
-}
-
-// Waiting reports whether packets are buffered for dst.
-func (q *PendingQueue) Waiting(dst netstack.NodeID) bool { return len(q.byDst[dst]) > 0 }
-
-// Len returns the total number of buffered packets.
-func (q *PendingQueue) Len() int {
-	n := 0
-	for _, l := range q.byDst {
-		n += len(l)
 	}
 	return n
 }

@@ -280,26 +280,29 @@ func TestTableInvalidate(t *testing.T) {
 }
 
 func TestPendingQueue(t *testing.T) {
-	q := NewPendingQueue(2, 5)
+	var q pendingQueue
 	mk := func(created float64) *netstack.Packet {
 		return &netstack.Packet{Created: created}
 	}
-	if ev := q.Push(1, mk(0)); ev != nil {
-		t.Fatal("eviction on first push")
+	if q.Waiting(1) {
+		t.Fatal("zero queue reports waiting data")
 	}
-	q.Push(1, mk(1))
-	ev := q.Push(1, mk(2)) // cap 2: oldest evicted
+	for i := 0; i < pendingCap; i++ {
+		if ev := q.Push(1, mk(float64(i))); ev != nil {
+			t.Fatalf("eviction on push %d", i)
+		}
+	}
+	ev := q.Push(1, mk(pendingCap)) // full: oldest evicted
 	if ev == nil || ev.Created != 0 {
 		t.Fatalf("evicted = %+v", ev)
 	}
 	if !q.Waiting(1) || q.Waiting(2) {
 		t.Fatal("Waiting wrong")
 	}
-	if q.Len() != 2 {
-		t.Fatalf("len = %d", q.Len())
-	}
-	fresh, expired := q.PopAll(1, 6.5)
-	if len(fresh) != 1 || len(expired) != 1 {
+	// at now = pendingMaxWait + 1.5 the packets created at 1 s have
+	// waited too long; the 2 s one is exactly on the limit and stays fresh
+	fresh, expired := q.PopAll(1, pendingMaxWait+1.5)
+	if len(fresh)+len(expired) != pendingCap || len(expired) != 1 || expired[0].Created != 1 {
 		t.Fatalf("fresh=%d expired=%d", len(fresh), len(expired))
 	}
 	if q.Waiting(1) {

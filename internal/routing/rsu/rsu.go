@@ -151,11 +151,7 @@ func (u *UnitRouter) OnBeacon(nb netstack.Neighbor) {
 // Originate implements netstack.Router: RSUs do not originate app data in
 // the experiments; treat as deliver-to-self or drop.
 func (u *UnitRouter) Originate(dst netstack.NodeID, size int) {
-	pkt := &netstack.Packet{
-		UID: u.API.NewUID(), Kind: netstack.KindData, Data: true, Proto: u.Name(),
-		Src: u.API.Self(), Dst: dst, TTL: routing.DefaultTTL, Size: size,
-		Created: u.API.Now(),
-	}
+	pkt := routing.NewData(u.API, u.Name(), dst, size)
 	u.handleData(pkt)
 }
 
@@ -312,11 +308,7 @@ func (v *VehicleRouter) Attach(api *netstack.API) {
 
 // Originate implements netstack.Router.
 func (v *VehicleRouter) Originate(dst netstack.NodeID, size int) {
-	pkt := &netstack.Packet{
-		UID: v.API.NewUID(), Kind: netstack.KindData, Data: true, Proto: v.Name(),
-		Src: v.API.Self(), Dst: dst, TTL: routing.DefaultTTL, Size: size,
-		Created: v.API.Now(),
-	}
+	pkt := routing.NewData(v.API, v.Name(), dst, size)
 	if dst == v.API.Self() {
 		v.API.Deliver(pkt)
 		return

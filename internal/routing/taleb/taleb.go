@@ -15,28 +15,22 @@ import (
 	"github.com/vanetlab/relroute/internal/routing"
 )
 
-// Option configures the router factory.
-type Option func(*Router)
-
-// WithCrossGroupDelay sets the extra rebroadcast delay imposed on
-// different-group relays (default 80 ms), biasing discovery toward
-// same-group paths without partitioning the network.
-func WithCrossGroupDelay(d float64) Option {
-	return func(r *Router) { r.crossDelay = d }
-}
+const (
+	// crossDelay is the extra rebroadcast delay, in seconds, imposed on
+	// different-group relays, biasing discovery toward same-group paths
+	// without partitioning the network.
+	crossDelay = 0.08
+	// window is how long the destination collects candidate RREQs before
+	// answering, in seconds.
+	window = 0.3
+)
 
 // Router is a per-node Taleb instance.
 type Router struct {
-	netstack.Base
-	table   *routing.Table
-	pending *routing.PendingQueue
+	routing.TableRouter
 	dup     *routing.DupCache
 	reqID   uint64
-	trying  map[netstack.NodeID]int
 	collect map[routing.DupKey]*candidate
-
-	crossDelay float64
-	window     float64
 }
 
 type candidate struct {
@@ -67,20 +61,14 @@ type rrep struct {
 }
 
 // New returns a Taleb router factory.
-func New(opts ...Option) netstack.RouterFactory {
+func New() netstack.RouterFactory {
 	return func() netstack.Router {
 		r := &Router{
-			table:      routing.NewTable(),
-			pending:    routing.NewPendingQueue(16, 10),
-			dup:        routing.NewDupCache(15),
-			trying:     make(map[netstack.NodeID]int),
-			collect:    make(map[routing.DupKey]*candidate),
-			crossDelay: 0.08,
-			window:     0.3,
+			TableRouter: routing.TableRouter{Routes: routing.NewTable()},
+			dup:         routing.NewDupCache(15),
+			collect:     make(map[routing.DupKey]*candidate),
 		}
-		for _, o := range opts {
-			o(r)
-		}
+		r.Init(r, 1.2)
 		return r
 	}
 }
@@ -91,37 +79,8 @@ func (r *Router) Name() string { return "Taleb" }
 // group returns this node's velocity group.
 func (r *Router) group() int { return link.HeadingGroup(r.API.Vel()) }
 
-// Originate implements netstack.Router.
-func (r *Router) Originate(dst netstack.NodeID, size int) {
-	pkt := &netstack.Packet{
-		UID: r.API.NewUID(), Kind: netstack.KindData, Data: true, Proto: r.Name(),
-		Src: r.API.Self(), Dst: dst, TTL: routing.DefaultTTL, Size: size,
-		Created: r.API.Now(),
-	}
-	if dst == r.API.Self() {
-		r.API.Deliver(pkt)
-		return
-	}
-	if rt, ok := r.table.Lookup(dst, r.API.Now()); ok {
-		r.API.Send(rt.NextHop, pkt)
-		return
-	}
-	if ev := r.pending.Push(dst, pkt); ev != nil {
-		r.API.Drop(ev)
-	}
-	r.startDiscovery(dst)
-}
-
-func (r *Router) startDiscovery(dst netstack.NodeID) {
-	if _, inFlight := r.trying[dst]; inFlight {
-		return
-	}
-	r.trying[dst] = 2
-	r.sendRREQ(dst)
-}
-
-func (r *Router) sendRREQ(dst netstack.NodeID) {
-	r.API.Metrics().RouteDiscoveries++
+// Request implements routing.Reactive: one RREQ flood.
+func (r *Router) Request(dst netstack.NodeID) bool {
 	r.reqID++
 	pkt := &netstack.Packet{
 		UID: r.API.NewUID(), Kind: netstack.KindRREQ, Proto: r.Name(),
@@ -134,29 +93,7 @@ func (r *Router) sendRREQ(dst netstack.NodeID) {
 	}
 	r.dup.Seen(routing.DupKey{Origin: pkt.Src, Seq: r.reqID}, r.API.Now())
 	r.API.Send(netstack.Broadcast, pkt)
-	dstCopy := dst
-	r.API.After(1.2, func() { r.deadline(dstCopy) })
-}
-
-func (r *Router) deadline(dst netstack.NodeID) {
-	retries, inFlight := r.trying[dst]
-	if !inFlight {
-		return
-	}
-	if _, ok := r.table.Lookup(dst, r.API.Now()); ok {
-		delete(r.trying, dst)
-		return
-	}
-	if retries <= 0 {
-		delete(r.trying, dst)
-		fresh, expired := r.pending.PopAll(dst, r.API.Now())
-		for _, p := range append(fresh, expired...) {
-			r.API.Drop(p)
-		}
-		return
-	}
-	r.trying[dst] = retries - 1
-	r.sendRREQ(dst)
+	return true
 }
 
 // HandlePacket implements netstack.Router.
@@ -167,7 +104,7 @@ func (r *Router) HandlePacket(pkt *netstack.Packet) {
 	case netstack.KindRREP:
 		r.handleRREP(pkt)
 	case netstack.KindData:
-		r.handleData(pkt)
+		r.HandleData(pkt)
 	}
 }
 
@@ -188,7 +125,7 @@ func (r *Router) handleRREQ(pkt *netstack.Packet) {
 		}
 	}
 	lt := routing.MinLifetime(req.MinLife, lifeFrom)
-	r.mergeReverse(routing.Route{
+	r.Routes.MergeReverse(routing.Route{
 		Dst: req.Origin, NextHop: pkt.From, Hops: pkt.Hops,
 		Expiry: now + capLife(lt), Valid: true, Lifetime: lt,
 	})
@@ -212,7 +149,7 @@ func (r *Router) handleRREQ(pkt *netstack.Packet) {
 		if !c.armed {
 			c.armed = true
 			origin := req.Origin
-			r.API.After(r.window, func() { r.answer(key, origin) })
+			r.API.After(window, func() { r.answer(key, origin) })
 		}
 		return
 	}
@@ -236,7 +173,7 @@ func (r *Router) handleRREQ(pkt *netstack.Packet) {
 		return
 	}
 	fwd := pkt
-	r.API.After(r.crossDelay, func() { r.API.Send(netstack.Broadcast, fwd) })
+	r.API.After(crossDelay, func() { r.API.Send(netstack.Broadcast, fwd) })
 }
 
 func (r *Router) answer(key routing.DupKey, origin netstack.NodeID) {
@@ -245,7 +182,7 @@ func (r *Router) answer(key routing.DupKey, origin netstack.NodeID) {
 		return
 	}
 	delete(r.collect, key)
-	r.table.Upsert(routing.Route{
+	r.Routes.Upsert(routing.Route{
 		Dst: origin, NextHop: c.bestFrom, Hops: c.hops,
 		Expiry: r.API.Now() + capLife(c.bestLife), Valid: true, Lifetime: c.bestLife,
 	})
@@ -264,28 +201,20 @@ func (r *Router) handleRREP(pkt *netstack.Packet) {
 		return
 	}
 	now := r.API.Now()
-	r.table.Upsert(routing.Route{
+	r.Routes.Upsert(routing.Route{
 		Dst: rep.Target, NextHop: pkt.From, Hops: rep.Hops + pkt.Hops,
 		Expiry: now + capLife(rep.MinLife), Valid: true, Lifetime: rep.MinLife,
 	})
 	if rep.Origin == r.API.Self() {
-		delete(r.trying, rep.Target)
 		r.API.Metrics().OnPathLifetime(capLife(rep.MinLife))
-		r.flushPending(rep.Target)
+		r.Resolve(rep.Target)
 		// Re-discover prior to the shortest link duration elapsing.
 		if rep.MinLife != link.Forever {
-			lead := math.Max(capLife(rep.MinLife)-0.8, 0.1)
-			target := rep.Target
-			r.API.After(lead, func() {
-				if _, okRt := r.table.Lookup(target, r.API.Now()); okRt || r.pending.Waiting(target) {
-					r.API.Metrics().RouteRepairs++
-					r.startDiscovery(target)
-				}
-			})
+			r.RebuildAfter(math.Max(capLife(rep.MinLife)-0.8, 0.1), rep.Target)
 		}
 		return
 	}
-	rt, okRt := r.table.Lookup(rep.Origin, now)
+	rt, okRt := r.Routes.Lookup(rep.Origin, now)
 	if !okRt {
 		return
 	}
@@ -296,65 +225,6 @@ func (r *Router) handleRREP(pkt *netstack.Packet) {
 	r.API.Send(rt.NextHop, pkt)
 }
 
-func (r *Router) handleData(pkt *netstack.Packet) {
-	if pkt.Dst == r.API.Self() {
-		r.API.Deliver(pkt)
-		return
-	}
-	pkt.TTL--
-	if pkt.Expired() {
-		r.API.Drop(pkt)
-		return
-	}
-	if rt, ok := r.table.Lookup(pkt.Dst, r.API.Now()); ok {
-		r.API.Send(rt.NextHop, pkt)
-		return
-	}
-	r.API.Drop(pkt)
-}
-
-// OnNeighborExpired implements netstack.Router.
-func (r *Router) OnNeighborExpired(id netstack.NodeID) {
-	broken := r.table.InvalidateVia(id)
-	r.API.Metrics().RouteBreaks += len(broken)
-}
-
-// OnSendFailed implements netstack.Router.
-func (r *Router) OnSendFailed(pkt *netstack.Packet, to netstack.NodeID) {
-	r.API.ForgetNeighbor(to)
-	r.OnNeighborExpired(to)
-	if pkt.Data {
-		r.API.Drop(pkt)
-	}
-}
-
-// mergeReverse prefers longer-lived reverse routes among those that do not
-// increase the hop count (loop freedom via hop monotonicity).
-func (r *Router) mergeReverse(nr routing.Route) {
-	cur, ok := r.table.Get(nr.Dst)
-	if ok && cur.Valid && !(nr.Hops < cur.Hops || (nr.Hops == cur.Hops && nr.Lifetime > cur.Lifetime)) {
-		return
-	}
-	r.table.Upsert(nr)
-}
-
-func (r *Router) flushPending(dst netstack.NodeID) {
-	fresh, expired := r.pending.PopAll(dst, r.API.Now())
-	for _, p := range expired {
-		r.API.Drop(p)
-	}
-	rt, ok := r.table.Lookup(dst, r.API.Now())
-	if !ok {
-		for _, p := range fresh {
-			r.API.Drop(p)
-		}
-		return
-	}
-	for _, p := range fresh {
-		r.API.Send(rt.NextHop, p)
-	}
-}
-
 func capLife(lifetime float64) float64 {
 	const maxHold = 120
 	if lifetime > maxHold {
@@ -362,6 +232,3 @@ func capLife(lifetime float64) float64 {
 	}
 	return lifetime
 }
-
-// Table exposes the route table for tests.
-func (r *Router) Table() *routing.Table { return r.table }

@@ -36,7 +36,7 @@ func TestPrefersSameVelocityGroup(t *testing.T) {
 	if err := w.Run(7); err != nil {
 		t.Fatal(err)
 	}
-	rt, ok := routers[3].Table().Get(ids[0])
+	rt, ok := routers[3].Routes.Get(ids[0])
 	if !ok || !rt.Valid {
 		t.Fatal("destination has no reverse route")
 	}
@@ -65,10 +65,4 @@ func TestRediscoversBeforePathDuration(t *testing.T) {
 	if c.DataDelivered < 4 {
 		t.Fatalf("delivered = %d", c.DataDelivered)
 	}
-}
-
-func TestCrossGroupDelayOption(t *testing.T) {
-	w, ids := routetest.World(t, 1, routetest.Chain(3, 150, 20),
-		taleb.New(taleb.WithCrossGroupDelay(0.01)))
-	routetest.MustDeliverAll(t, w, ids[0], ids[2], 3)
 }
