@@ -43,7 +43,7 @@ type Reactive[R any] interface {
 // how a route is followed.
 //
 // A router embeds Discovery by value in place of netstack.Base and binds
-// it with Init; the zero value allocates nothing until data is buffered.
+// it with Init. It allocates nothing until its first discovery starts.
 type Discovery[R any] struct {
 	netstack.Base
 	r       Reactive[R]
