@@ -16,17 +16,10 @@ import (
 	"github.com/vanetlab/relroute/internal/geom"
 	"github.com/vanetlab/relroute/internal/netstack"
 	"github.com/vanetlab/relroute/internal/routing"
-	"github.com/vanetlab/relroute/internal/sim"
 )
 
 // Option configures the router factory.
 type Option func(*Router)
-
-// WithCarryTimeout sets how long a packet may be carried waiting for
-// progress before being dropped (default 8 s).
-func WithCarryTimeout(d float64) Option {
-	return func(r *Router) { r.carryTimeout = d }
-}
 
 // WithDirectionBias enables/disables the direction-aware tie-break
 // (default on); the ablation benches toggle it.
@@ -34,28 +27,24 @@ func WithDirectionBias(on bool) Option {
 	return func(r *Router) { r.directionBias = on }
 }
 
+// carryTimeout is how long, in seconds, a packet may be carried waiting
+// for progress before it is dropped.
+const carryTimeout = 8
+
 // Router is a per-node greedy geographic router.
 type Router struct {
-	netstack.Base
-	carried       []*carriedPacket
-	carryTimeout  float64
+	routing.Carrier
 	directionBias bool
-	sweep         sim.TimerID
-	started       bool
-}
-
-type carriedPacket struct {
-	pkt   *netstack.Packet
-	since float64
 }
 
 // New returns a greedy router factory.
 func New(opts ...Option) netstack.RouterFactory {
 	return func() netstack.Router {
-		r := &Router{carryTimeout: 8, directionBias: true}
+		r := &Router{directionBias: true}
 		for _, o := range opts {
 			o(r)
 		}
+		r.Init(r, carryTimeout)
 		return r
 	}
 }
@@ -63,67 +52,27 @@ func New(opts ...Option) netstack.RouterFactory {
 // Name implements netstack.Router.
 func (r *Router) Name() string { return "Greedy" }
 
-// Attach implements netstack.Router and starts the carry-buffer sweep.
-func (r *Router) Attach(api *netstack.API) {
-	r.Base.Attach(api)
-	if r.started {
-		return
-	}
-	r.started = true
-	var tickFn func()
-	tickFn = func() {
-		r.retryCarried()
-		r.API.After(0.5, tickFn)
-	}
-	api.After(0.5+api.Rand().Float64()*0.1, tickFn)
-}
-
-// Originate implements netstack.Router.
-func (r *Router) Originate(dst netstack.NodeID, size int) {
-	pkt := routing.NewData(r.API, r.Name(), dst, size)
-	if dst == r.API.Self() {
-		r.API.Deliver(pkt)
-		return
-	}
-	r.route(pkt)
-}
-
-// HandlePacket implements netstack.Router.
-func (r *Router) HandlePacket(pkt *netstack.Packet) {
-	if pkt.Kind != netstack.KindData {
-		return
-	}
-	if pkt.Dst == r.API.Self() {
-		r.API.Deliver(pkt)
-		return
-	}
-	pkt.TTL--
-	if pkt.Expired() {
-		r.API.Drop(pkt)
-		return
-	}
-	r.route(pkt)
-}
-
-// route forwards greedily or buffers the packet for carry-and-forward.
-func (r *Router) route(pkt *netstack.Packet) {
+// NextHop implements routing.Geographic: the destination itself when it
+// is a neighbor, else the best greedy next hop; at a local maximum the
+// packet is carried (store, carry, forward later).
+func (r *Router) NextHop(pkt *netstack.Packet) (netstack.NodeID, routing.Verdict) {
 	if r.API.HasNeighbor(pkt.Dst) {
-		r.API.Send(pkt.Dst, pkt)
-		return
+		return pkt.Dst, routing.Forward
 	}
-	dstPos, dstVel, ok := r.API.LookupPosition(pkt.Dst)
+	dstPos, _, ok := r.API.LookupPosition(pkt.Dst)
 	if !ok {
-		r.API.Drop(pkt)
-		return
+		return 0, routing.Drop
 	}
-	_ = dstVel
-	next, found := r.bestNextHop(dstPos)
-	if found {
-		r.API.Send(next, pkt)
-		return
+	if next, found := r.bestNextHop(dstPos); found {
+		return next, routing.Forward
 	}
-	// local maximum: store, carry, forward later
-	r.carried = append(r.carried, &carriedPacket{pkt: pkt, since: r.API.Now()})
+	return 0, routing.Carry
+}
+
+// RetryHop implements routing.Geographic: a carried packet is routed
+// afresh.
+func (r *Router) RetryHop(pkt *netstack.Packet) (netstack.NodeID, routing.Verdict) {
+	return r.NextHop(pkt)
 }
 
 // bestNextHop picks the neighbor with maximum progress toward dst,
@@ -167,52 +116,3 @@ func (r *Router) bestNextHop(dstPos geom.Vec2) (netstack.NodeID, bool) {
 	}
 	return refined, true
 }
-
-// OnSendFailed implements netstack.Router: blacklist the stale neighbor
-// and re-route the packet — the GPSR-style reaction to a failed unicast.
-func (r *Router) OnSendFailed(pkt *netstack.Packet, to netstack.NodeID) {
-	r.API.ForgetNeighbor(to)
-	if pkt.Kind != netstack.KindData {
-		return
-	}
-	pkt.TTL--
-	if pkt.Expired() {
-		r.API.Drop(pkt)
-		return
-	}
-	r.route(pkt)
-}
-
-// retryCarried re-attempts forwarding for buffered packets and expires old
-// ones.
-func (r *Router) retryCarried() {
-	if len(r.carried) == 0 {
-		return
-	}
-	now := r.API.Now()
-	keep := r.carried[:0]
-	for _, c := range r.carried {
-		if now-c.since > r.carryTimeout {
-			r.API.Drop(c.pkt)
-			continue
-		}
-		if r.API.HasNeighbor(c.pkt.Dst) {
-			r.API.Send(c.pkt.Dst, c.pkt)
-			continue
-		}
-		dstPos, _, ok := r.API.LookupPosition(c.pkt.Dst)
-		if !ok {
-			r.API.Drop(c.pkt)
-			continue
-		}
-		if next, found := r.bestNextHop(dstPos); found {
-			r.API.Send(next, c.pkt)
-			continue
-		}
-		keep = append(keep, c)
-	}
-	r.carried = keep
-}
-
-// Carried exposes the carry-buffer length for tests.
-func (r *Router) Carried() int { return len(r.carried) }

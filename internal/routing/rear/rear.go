@@ -31,18 +31,15 @@ func WithMinReceipt(p float64) Option {
 	return func(r *Router) { r.minReceipt = p }
 }
 
+// carryTimeout is how long, in seconds, a packet may be carried waiting
+// for a reliable next hop before it is dropped.
+const carryTimeout = 6
+
 // Router is a per-node REAR instance.
 type Router struct {
-	netstack.Base
+	routing.Carrier
 	model      *prob.ReceiptModel // nil: use the reliability plane's estimate
 	minReceipt float64
-	carried    []*carriedPacket
-	started    bool
-}
-
-type carriedPacket struct {
-	pkt   *netstack.Packet
-	since float64
 }
 
 // New returns a REAR router factory.
@@ -52,27 +49,13 @@ func New(opts ...Option) netstack.RouterFactory {
 		for _, o := range opts {
 			o(r)
 		}
+		r.Init(r, carryTimeout)
 		return r
 	}
 }
 
 // Name implements netstack.Router.
 func (r *Router) Name() string { return "REAR" }
-
-// Attach implements netstack.Router.
-func (r *Router) Attach(api *netstack.API) {
-	r.Base.Attach(api)
-	if r.started {
-		return
-	}
-	r.started = true
-	var sweep func()
-	sweep = func() {
-		r.retryCarried()
-		r.API.After(0.5, sweep)
-	}
-	api.After(0.5+api.Rand().Float64()*0.1, sweep)
-}
 
 // receiptProb estimates the probability that a frame sent to the neighbor
 // is received. ls must come from API.LinkState/LinkStates: by default the
@@ -85,45 +68,16 @@ func (r *Router) receiptProb(ls netstack.LinkState) float64 {
 	return ls.ReceiptProb
 }
 
-// Originate implements netstack.Router.
-func (r *Router) Originate(dst netstack.NodeID, size int) {
-	pkt := routing.NewData(r.API, r.Name(), dst, size)
-	if dst == r.API.Self() {
-		r.API.Deliver(pkt)
-		return
-	}
-	r.route(pkt)
-}
-
-// HandlePacket implements netstack.Router.
-func (r *Router) HandlePacket(pkt *netstack.Packet) {
-	if pkt.Kind != netstack.KindData {
-		return
-	}
-	if pkt.Dst == r.API.Self() {
-		r.API.Deliver(pkt)
-		return
-	}
-	pkt.TTL--
-	if pkt.Expired() {
-		r.API.Drop(pkt)
-		return
-	}
-	r.route(pkt)
-}
-
-// route picks the progress-making neighbor with the highest receipt
-// probability; with no candidate it carries briefly (alarm messages must
-// survive short voids).
-func (r *Router) route(pkt *netstack.Packet) {
+// NextHop implements routing.Geographic: the progress-making neighbor
+// with the highest receipt probability; with no candidate the packet is
+// carried briefly (alarm messages must survive short voids).
+func (r *Router) NextHop(pkt *netstack.Packet) (netstack.NodeID, routing.Verdict) {
 	if ls, ok := r.API.LinkState(pkt.Dst); ok && r.receiptProb(ls) >= r.minReceipt {
-		r.API.Send(pkt.Dst, pkt)
-		return
+		return pkt.Dst, routing.Forward
 	}
 	dstPos, _, ok := r.API.LookupPosition(pkt.Dst)
 	if !ok {
-		r.API.Drop(pkt)
-		return
+		return 0, routing.Drop
 	}
 	selfD := r.API.Pos().Dist(dstPos)
 	best := netstack.Broadcast
@@ -142,61 +96,28 @@ func (r *Router) route(pkt *netstack.Packet) {
 		}
 	}
 	if best != netstack.Broadcast {
-		r.API.Send(best, pkt)
-		return
+		return best, routing.Forward
 	}
-	r.carried = append(r.carried, &carriedPacket{pkt: pkt, since: r.API.Now()})
+	return 0, routing.Carry
 }
 
-// OnSendFailed implements netstack.Router: the RSSI estimate was too
-// optimistic — blacklist and re-route.
-func (r *Router) OnSendFailed(pkt *netstack.Packet, to netstack.NodeID) {
-	r.API.ForgetNeighbor(to)
-	if pkt.Kind != netstack.KindData {
-		return
-	}
-	pkt.TTL--
-	if pkt.Expired() {
-		r.API.Drop(pkt)
-		return
-	}
-	r.route(pkt)
-}
-
-func (r *Router) retryCarried() {
-	if len(r.carried) == 0 {
-		return
-	}
-	now := r.API.Now()
-	keep := r.carried[:0]
-	for _, c := range r.carried {
-		if now-c.since > 6 {
-			r.API.Drop(c.pkt)
-			continue
-		}
-		if r.tryOnce(c.pkt) {
-			continue
-		}
-		keep = append(keep, c)
-	}
-	r.carried = keep
-}
-
-func (r *Router) tryOnce(pkt *netstack.Packet) bool {
+// RetryHop implements routing.Geographic: the destination whenever it is
+// a neighbor, whatever its receipt probability, else the first
+// progress-making neighbor above the threshold, not the most reliable
+// one; an unknown destination position keeps the packet carried.
+func (r *Router) RetryHop(pkt *netstack.Packet) (netstack.NodeID, routing.Verdict) {
 	if r.API.HasNeighbor(pkt.Dst) {
-		r.API.Send(pkt.Dst, pkt)
-		return true
+		return pkt.Dst, routing.Forward
 	}
 	dstPos, _, ok := r.API.LookupPosition(pkt.Dst)
 	if !ok {
-		return false
+		return 0, routing.Carry
 	}
 	selfD := r.API.Pos().Dist(dstPos)
 	for _, nb := range r.API.LinkStates() {
 		if nb.Pos.Dist(dstPos) < selfD && r.receiptProb(nb) >= r.minReceipt {
-			r.API.Send(nb.ID, pkt)
-			return true
+			return nb.ID, routing.Forward
 		}
 	}
-	return false
+	return 0, routing.Carry
 }

@@ -10,7 +10,9 @@
 package rsu
 
 import (
+	"maps"
 	"math"
+	"slices"
 
 	"github.com/vanetlab/relroute/internal/geom"
 	"github.com/vanetlab/relroute/internal/netstack"
@@ -22,18 +24,17 @@ import (
 type Backbone struct {
 	// Delay is the one-way backbone latency in seconds (default 2 ms).
 	Delay float64
-	rsus  map[netstack.NodeID]*UnitRouter
+	rsus  []*UnitRouter // ascending node ID
 	// lastSeen maps a vehicle to the RSU that most recently heard its
 	// beacon — the "position synchronized to all related RSU" registry.
-	lastSeen map[netstack.NodeID]netstack.NodeID
+	lastSeen map[netstack.NodeID]*UnitRouter
 }
 
 // NewBackbone returns an empty backbone.
 func NewBackbone() *Backbone {
 	return &Backbone{
 		Delay:    2e-3,
-		rsus:     make(map[netstack.NodeID]*UnitRouter),
-		lastSeen: make(map[netstack.NodeID]netstack.NodeID),
+		lastSeen: make(map[netstack.NodeID]*UnitRouter),
 	}
 }
 
@@ -44,25 +45,23 @@ func (b *Backbone) delay() float64 {
 	return b.Delay
 }
 
-// register adds an RSU router to the backbone.
-func (b *Backbone) register(u *UnitRouter) { b.rsus[u.API.Self()] = u }
+// register adds an RSU router to the backbone. RSUs attach as their nodes
+// are created, so they register in ascending node-ID order.
+func (b *Backbone) register(u *UnitRouter) { b.rsus = append(b.rsus, u) }
 
 // noteVehicle updates the location registry. On a handover (the vehicle
 // surfaced under a different RSU) every packet buffered for it elsewhere
-// is re-transferred to the new owner — the "position information is
-// synchronized to all related RSU instantly" behaviour of DRR.
-func (b *Backbone) noteVehicle(vehicle, rsu netstack.NodeID) {
+// is re-transferred to the new owner, RSU by RSU in ascending node-ID
+// order — the "position information is synchronized to all related RSU
+// instantly" behaviour of DRR.
+func (b *Backbone) noteVehicle(vehicle netstack.NodeID, owner *UnitRouter) {
 	prev, had := b.lastSeen[vehicle]
-	b.lastSeen[vehicle] = rsu
-	if had && prev == rsu {
+	b.lastSeen[vehicle] = owner
+	if had && prev == owner {
 		return
 	}
-	owner, ok := b.rsus[rsu]
-	if !ok {
-		return
-	}
-	for id, u := range b.rsus {
-		if id == rsu {
+	for _, u := range b.rsus {
+		if u == owner {
 			continue
 		}
 		for _, pkt := range u.takeBuffered(vehicle) {
@@ -72,12 +71,11 @@ func (b *Backbone) noteVehicle(vehicle, rsu netstack.NodeID) {
 }
 
 // rsuFor returns the RSU that last heard the vehicle, or the RSU closest
-// to the vehicle's registered position.
+// to the vehicle's registered position; a distance tie goes to the lower
+// node ID.
 func (b *Backbone) rsuFor(vehicle netstack.NodeID, fallbackPos geom.Vec2, hasPos bool) (*UnitRouter, bool) {
-	if id, ok := b.lastSeen[vehicle]; ok {
-		if u, okU := b.rsus[id]; okU {
-			return u, true
-		}
+	if u, ok := b.lastSeen[vehicle]; ok {
+		return u, true
 	}
 	if !hasPos {
 		return nil, false
@@ -127,11 +125,11 @@ func (u *UnitRouter) Name() string { return "DRR-RSU" }
 // Attach implements netstack.Router.
 func (u *UnitRouter) Attach(api *netstack.API) {
 	u.Base.Attach(api)
-	u.backbone.register(u)
 	if u.started {
 		return
 	}
 	u.started = true
+	u.backbone.register(u)
 	var sweep func()
 	sweep = func() {
 		u.flushBuffers()
@@ -144,7 +142,7 @@ func (u *UnitRouter) Attach(api *netstack.API) {
 // synchronizes the location registry.
 func (u *UnitRouter) OnBeacon(nb netstack.Neighbor) {
 	if nb.Kind == netstack.Vehicle || nb.Kind == netstack.BusNode {
-		u.backbone.noteVehicle(nb.ID, u.API.Self())
+		u.backbone.noteVehicle(nb.ID, u)
 	}
 }
 
@@ -216,10 +214,12 @@ func (u *UnitRouter) takeBuffered(dst netstack.NodeID) []*netstack.Packet {
 }
 
 // flushBuffers delivers buffered packets whose destinations have arrived
-// and expires stale ones.
+// and expires stale ones, destination by destination in ascending node-ID
+// order.
 func (u *UnitRouter) flushBuffers() {
 	now := u.API.Now()
-	for dst, list := range u.buffered {
+	for _, dst := range slices.Sorted(maps.Keys(u.buffered)) {
+		list := u.buffered[dst]
 		if u.API.HasNeighbor(dst) {
 			for _, pkt := range list {
 				pkt.TTL--
@@ -266,77 +266,35 @@ func (u *UnitRouter) Buffered() int {
 	return n
 }
 
+// carryTimeout bounds a DRR vehicle's carry buffer, in seconds.
+const carryTimeout = 5
+
 // VehicleRouter runs on vehicles in the DRR scenario: greedy V2V toward
 // the destination while progress exists; otherwise hand the packet to any
 // RSU in range (the differentiated reliable path), falling back to a short
 // carry while neither works.
 type VehicleRouter struct {
-	netstack.Base
-	carried []*carriedPacket
-	// CarryTimeout bounds the local buffer (default 5 s).
-	CarryTimeout float64
-	started      bool
-}
-
-type carriedPacket struct {
-	pkt   *netstack.Packet
-	since float64
+	routing.Carrier
 }
 
 // NewVehicle returns a factory for DRR vehicle routers.
 func NewVehicle() netstack.RouterFactory {
-	return func() netstack.Router { return &VehicleRouter{CarryTimeout: 5} }
+	return func() netstack.Router {
+		v := &VehicleRouter{}
+		v.Init(v, carryTimeout)
+		return v
+	}
 }
 
 // Name implements netstack.Router.
 func (v *VehicleRouter) Name() string { return "DRR" }
 
-// Attach implements netstack.Router.
-func (v *VehicleRouter) Attach(api *netstack.API) {
-	v.Base.Attach(api)
-	if v.started {
-		return
-	}
-	v.started = true
-	var sweep func()
-	sweep = func() {
-		v.retryCarried()
-		v.API.After(0.5, sweep)
-	}
-	api.After(0.5+api.Rand().Float64()*0.1, sweep)
-}
-
-// Originate implements netstack.Router.
-func (v *VehicleRouter) Originate(dst netstack.NodeID, size int) {
-	pkt := routing.NewData(v.API, v.Name(), dst, size)
-	if dst == v.API.Self() {
-		v.API.Deliver(pkt)
-		return
-	}
-	v.route(pkt)
-}
-
-// HandlePacket implements netstack.Router.
-func (v *VehicleRouter) HandlePacket(pkt *netstack.Packet) {
-	if pkt.Kind != netstack.KindData {
-		return
-	}
-	if pkt.Dst == v.API.Self() {
-		v.API.Deliver(pkt)
-		return
-	}
-	pkt.TTL--
-	if pkt.Expired() {
-		v.API.Drop(pkt)
-		return
-	}
-	v.route(pkt)
-}
-
-func (v *VehicleRouter) route(pkt *netstack.Packet) {
+// NextHop implements routing.Geographic: the destination itself when it
+// is a neighbor, else the vehicle making the most progress, else the
+// nearest RSU; with neither the packet is carried.
+func (v *VehicleRouter) NextHop(pkt *netstack.Packet) (netstack.NodeID, routing.Verdict) {
 	if v.API.HasNeighbor(pkt.Dst) {
-		v.API.Send(pkt.Dst, pkt)
-		return
+		return pkt.Dst, routing.Forward
 	}
 	// greedy V2V progress through vehicles only
 	if dstPos, _, ok := v.API.LookupPosition(pkt.Dst); ok {
@@ -355,8 +313,7 @@ func (v *VehicleRouter) route(pkt *netstack.Packet) {
 			}
 		}
 		if found {
-			v.API.Send(best, pkt)
-			return
+			return best, routing.Forward
 		}
 	}
 	// no vehicular progress: differentiated path through the nearest RSU
@@ -374,69 +331,31 @@ func (v *VehicleRouter) route(pkt *netstack.Packet) {
 		}
 	}
 	if rsuFound {
-		v.API.Send(rsuID, pkt)
-		return
+		return rsuID, routing.Forward
 	}
-	v.carried = append(v.carried, &carriedPacket{pkt: pkt, since: v.API.Now()})
+	return 0, routing.Carry
 }
 
-// OnSendFailed implements netstack.Router.
-func (v *VehicleRouter) OnSendFailed(pkt *netstack.Packet, to netstack.NodeID) {
-	v.API.ForgetNeighbor(to)
-	if pkt.Kind != netstack.KindData {
-		return
-	}
-	pkt.TTL--
-	if pkt.Expired() {
-		v.API.Drop(pkt)
-		return
-	}
-	v.route(pkt)
-}
-
-func (v *VehicleRouter) retryCarried() {
-	if len(v.carried) == 0 {
-		return
-	}
-	now := v.API.Now()
-	keep := v.carried[:0]
-	for _, c := range v.carried {
-		if now-c.since > v.CarryTimeout {
-			v.API.Drop(c.pkt)
-			continue
-		}
-		// retry the full decision ladder
-		before := len(v.carried)
-		_ = before
-		if v.tryOnce(c.pkt) {
-			continue
-		}
-		keep = append(keep, c)
-	}
-	v.carried = keep
-}
-
-// tryOnce attempts one routing step; it reports whether the packet left
-// this node.
-func (v *VehicleRouter) tryOnce(pkt *netstack.Packet) bool {
+// RetryHop implements routing.Geographic: the destination itself when it
+// is a neighbor, else the first RSU in range, else the first vehicle
+// closer to the destination; RSUs come before vehicles here, unlike in
+// NextHop.
+func (v *VehicleRouter) RetryHop(pkt *netstack.Packet) (netstack.NodeID, routing.Verdict) {
 	if v.API.HasNeighbor(pkt.Dst) {
-		v.API.Send(pkt.Dst, pkt)
-		return true
+		return pkt.Dst, routing.Forward
 	}
 	for _, nb := range v.API.Neighbors() {
 		if nb.Kind == netstack.RSU {
-			v.API.Send(nb.ID, pkt)
-			return true
+			return nb.ID, routing.Forward
 		}
 	}
 	if dstPos, _, ok := v.API.LookupPosition(pkt.Dst); ok {
 		self := v.API.Pos().Dist(dstPos)
 		for _, nb := range v.API.Neighbors() {
 			if nb.Kind != netstack.RSU && nb.Pos.Dist(dstPos) < self {
-				v.API.Send(nb.ID, pkt)
-				return true
+				return nb.ID, routing.Forward
 			}
 		}
 	}
-	return false
+	return 0, routing.Carry
 }

@@ -120,3 +120,54 @@ func TestLocationRegistryTracksBeacons(t *testing.T) {
 		t.Fatalf("delivered = %d of 4 after handover", got)
 	}
 }
+
+// TestFlushSendsInDestinationOrder buffers one packet per vehicle at an
+// RSU before any beacon is heard. The vehicles' first beacons fall into
+// the RSU's 0.25 s sweeps; eight vehicles in four sweeps put at least two
+// into one sweep, which must send to them in ascending node-ID order.
+func TestFlushSendsInDestinationOrder(t *testing.T) {
+	for i := 0; i < 10; i++ {
+		var vehicles []routetest.Vehicle
+		for k := 0; k < 8; k++ {
+			vehicles = append(vehicles, routetest.Vehicle{Pos: geom.V(20*float64(k), 10)})
+		}
+		w, ids := routetest.World(t, 1, vehicles, rsu.NewVehicle())
+		unit := rsu.NewUnit(rsu.NewBackbone())
+		rsuID := w.AddStaticNode(netstack.RSU, geom.V(70, 0), unit)
+		// each flow is one packet; its creation time names its vehicle
+		dstOf := make(map[float64]netstack.NodeID)
+		for k, id := range ids {
+			start := 0.01 + 0.001*float64(k)
+			dstOf[start] = id
+			w.AddFlow(rsuID, id, start, 1, 1, 64)
+		}
+		type arrival struct {
+			sweep int
+			dst   netstack.NodeID
+		}
+		var got []arrival
+		w.SetDeliveryHook(func(created float64) {
+			got = append(got, arrival{int(unit.API.Now() / 0.25), dstOf[created]})
+		})
+		if err := w.Run(3); err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != len(ids) {
+			t.Fatalf("run %d: delivered %d of %d", i, len(got), len(ids))
+		}
+		shared := false
+		for k := 1; k < len(got); k++ {
+			if got[k].sweep != got[k-1].sweep {
+				continue
+			}
+			shared = true
+			if got[k].dst < got[k-1].dst {
+				t.Fatalf("run %d: one sweep sent to %d before %d (arrivals %v)",
+					i, got[k-1].dst, got[k].dst, got)
+			}
+		}
+		if !shared {
+			t.Fatalf("run %d: no two vehicles arrived in one sweep (arrivals %v)", i, got)
+		}
+	}
+}
